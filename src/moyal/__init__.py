@@ -26,7 +26,7 @@ from .models import (DampedParams, HeliumParams, HeliumState,
                      harmonic_wigner_values, helium_energy,
                      helium_energy_first_order, helium_excite, helium_ground,
                      helium_hamiltonians, helium_wigner, hermite_function,
-                     kummer, laguerre, oscillator_ground,
+                     laguerre, oscillator_ground,
                      oscillator_hamiltonian, oscillator_state, z_coordinate)
 from .negativity import (ETA_REFERENCE, LambdaScanReport, NegativityRecord,
                          damped_box, eta_grid, eta_grid_damped, eta_radial,
@@ -44,7 +44,7 @@ __all__ = [
     "eigen_residual", "halton_points",
     "GridSpec", "GridField", "sample", "tapered_sample", "star_numeric",
     "moyal_bracket_numeric", "wigner_from_wavefunction", "grid_distance",
-    "laguerre", "kummer", "hermite_function",
+    "laguerre", "hermite_function",
     "oscillator_ground", "oscillator_state", "oscillator_hamiltonian",
     "annihilation_symbol", "creation_symbol",
     "harmonic_wigner", "harmonic_wigner_values",

@@ -5,9 +5,8 @@ with reference-table check and lambda scans), verify (cross-engine
 invariant suite).  Exit codes: 0 success, 2 usage error, 3 I/O failure,
 4 acceptance mismatch, 5 verification failure.
 
-Output is deterministic for a fixed configuration: fixed formatting, fixed
-iteration order, and any MOYAL_THREADS parallelism is reduced in index
-order.
+Output is deterministic for a fixed configuration: fixed formatting and
+fixed iteration order.
 """
 
 from __future__ import annotations

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bopp import apply, bopp_from_symbol
-from .errors import ConvergenceError
 from .polygauss import PolyGauss, QuadForm, integrate
 from .star import polygauss_star
 from .symbols import PolynomialSymbol
 
 # ---------------------------------------------------------------------------
-# special functions (recurrence / guarded series; no external dependency)
+# special functions (three-term recurrences; no external dependency)
 # ---------------------------------------------------------------------------
 
 
@@ -64,51 +63,6 @@ def laguerre_pair(n: int, y):
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - y) * cur - k * prev) / (k + 1)
     return cur, prev
-
-
-def kummer(aa: float, bb: float, y, max_terms: int = 500, tol: float = 1e-16):
-    """Confluent hypergeometric F(aa; bb; y) by truncated power series.
-
-    Exact finite-sum path when aa is a nonpositive integer (the polynomial
-    case); otherwise terms are added until they fall below tol relative to
-    the partial sum, raising ConvergenceError for extreme arguments.
-    """
-    if bb <= 0 and abs(bb - round(bb)) < 1e-12:
-        raise ValueError("bb must not be a nonpositive integer")
-    y = np.asarray(y, dtype=float)
-    polynomial = aa <= 0 and abs(aa - round(aa)) < 1e-12
-    if polynomial:
-        # the terminating series cancels heavily for large y; summing at
-        # extended precision makes the finite sum effectively exact
-        from mpmath import mp, mpf
-
-        n_exact = int(round(-aa))
-        flat = np.atleast_1d(y).ravel()
-        out = np.empty(flat.shape)
-        with mp.workdps(40):
-            for i, yv in enumerate(flat):
-                yv = mpf(float(yv))
-                term = mpf(1)
-                total = mpf(1)
-                for k in range(n_exact):
-                    term *= (aa + k) * yv / ((bb + k) * (k + 1))
-                    total += term
-                out[i] = float(total)
-        out = out.reshape(np.shape(y))
-        return out if out.ndim else float(out)
-    total = np.ones_like(y)
-    term = np.ones_like(y)
-    k = 0
-    while True:
-        term = term * ((aa + k) * y / ((bb + k) * (k + 1)))
-        total = total + term
-        k += 1
-        if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), 1.0)):
-            break
-        if k >= max_terms:
-            raise ConvergenceError(
-                f"Kummer series did not converge in {max_terms} terms")
-    return total if total.ndim else float(total)
 
 
 def hermite_function(n: int, x, m: float = 1.0, omega: float = 1.0,

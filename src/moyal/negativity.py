@@ -9,8 +9,9 @@ Two deliberately independent routes:
 
       eta(n) = (1/2) int_0^inf exp(-y/2) |L_n(y)| dy - 1,
 
-  a 1D integral evaluated with Newton-located Laguerre roots and
-  per-interval Gauss-Legendre panels; the tail beyond the last root uses
+  a 1D integral evaluated between the roots of L_n (Gauss-Laguerre nodes
+  from the Golub-Welsch eigenvalue problem, polished by one Newton step)
+  with per-interval Gauss-Legendre panels; the tail beyond the last root uses
   the exact total int_0^inf exp(-y/2) L_n(y) dy = 2 (-1)^n.
 
 * eta_grid: adaptive 2D panel quadrature of (|W| - W) over a box, with
@@ -24,8 +25,6 @@ values below anchor n = 0..9.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,57 +70,29 @@ class LambdaScanReport:
     lams: tuple = field(default_factory=tuple)
 
 
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("MOYAL_THREADS", "1")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks))
-
-
 # ---------------------------------------------------------------------------
 # radial method
 # ---------------------------------------------------------------------------
 
 
 def laguerre_roots(n: int) -> np.ndarray:
-    """All n roots of L_n, by interlacing brackets plus safeguarded Newton.
+    """All n roots of L_n, ascending: Gauss-Laguerre nodes, one Newton step.
 
-    Roots of consecutive Laguerre polynomials interlace, so walking k up
-    from 1 gives bracketing intervals in which Newton cannot escape; a
-    bisection fallback guards the rare overshoot.
+    The nodes of the n-point Gauss-Laguerre rule are the roots of L_n;
+    numpy obtains them as the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the three-term recurrence (Golub & Welsch, Math.
+    Comp. 23, 221 (1969)).  One vectorized Newton step through the
+    recurrence, with y L_n' = n (L_n - L_{n-1}), polishes them to full
+    double precision.
     """
-    roots = np.empty(0)
-    for k in range(1, n + 1):
-        brackets = np.concatenate([[0.0], roots, [4.0 * k + 2.0]])
-        new = np.empty(k)
-        for j in range(k):
-            lo, hi = brackets[j], brackets[j + 1]
-            x = 0.5 * (lo + hi)
-            for _ in range(100):
-                Lk, Lkm1 = laguerre_pair(k, x)
-                # y L_k' = k (L_k - L_{k-1})
-                deriv = k * (Lk - Lkm1) / x
-                if Lk == 0.0:
-                    break
-                flo, _ = laguerre_pair(k, lo)
-                if (Lk > 0) == (flo > 0):
-                    lo = x
-                else:
-                    hi = x
-                step = Lk / deriv if deriv != 0.0 else 0.0
-                x_new = x - step
-                if not lo < x_new < hi:
-                    x_new = 0.5 * (lo + hi)
-                if abs(x_new - x) <= 1e-15 * max(1.0, x):
-                    x = x_new
-                    break
-                x = x_new
-            else:
-                raise ConvergenceError(f"Laguerre root iteration stalled (k={k})")
-            new[j] = x
-        roots = new
+    if n == 0:
+        return np.empty(0)
+    nodes, _ = np.polynomial.laguerre.laggauss(n)
+    Ln, Lnm1 = laguerre_pair(n, nodes)
+    roots = nodes - nodes * Ln / (n * (Ln - Lnm1))
+    if not (roots[0] > 0.0 and np.all(np.diff(roots) > 0.0)):
+        raise ConvergenceError(
+            f"Laguerre roots not positive and increasing (n={n})")
     return roots
 
 
@@ -422,16 +393,9 @@ def negativity_table(n_max: int, lam: float = 0.0,
         raise ValueError("n_max must be nonnegative")
     if method not in ("radial", "grid"):
         raise ValueError("method must be 'radial' or 'grid'")
-    ns = list(range(n_max + 1))
     if method == "radial":
-        task = lambda n: eta_radial(n, lam)
-    else:
-        task = lambda n: eta_grid_damped(n, lam, tol)
-    workers = _max_workers(len(ns))
-    if workers == 1:
-        return [task(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, ns))
+        return [eta_radial(n, lam) for n in range(n_max + 1)]
+    return [eta_grid_damped(n, lam, tol) for n in range(n_max + 1)]
 
 
 def lambda_scan(n: int, lams, tol: float = 1e-3) -> LambdaScanReport:
@@ -447,13 +411,7 @@ def lambda_scan(n: int, lams, tol: float = 1e-3) -> LambdaScanReport:
     # the quadrature tolerance is clamped to a feasible floor; an
     # unreachable scan tolerance then yields an honest failure report
     grid_tol = min(max(tol / 3.0, 1e-6), 1e-3)
-    workers = _max_workers(len(lams))
-    task = lambda lam: eta_grid_damped(n, lam, grid_tol)
-    if workers == 1:
-        grid = [task(lam) for lam in lams]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grid = list(pool.map(task, lams))
+    grid = [eta_grid_damped(n, lam, grid_tol) for lam in lams]
     devs = [abs(rec.eta - radial.eta) for rec in grid]
     max_dev = max(devs) if devs else 0.0
     return LambdaScanReport(n=n, tol=tol, radial=radial, grid=tuple(grid),

@@ -1,14 +1,15 @@
 """Independent numerical oracles used by the tests.
 
 Everything here deliberately avoids the package's closed-form code paths:
-scipy quadrature, series summation, and an exact piecewise antiderivative
-for the negativity integral.
+scipy quadrature, series summation, an interlacing-bracket root walk, and
+an exact piecewise antiderivative for the negativity integral.
 """
 
 import numpy as np
 from scipy.integrate import dblquad
 
-from moyal.negativity import laguerre_roots
+from moyal.errors import ConvergenceError
+from moyal.models import laguerre_pair
 
 
 def quad2d(f, half: float, epsabs: float = 1e-11) -> float:
@@ -24,6 +25,47 @@ def laguerre_series(n: int, y: float) -> float:
 
     return sum((-1) ** k * comb(n, k) / factorial(k) * y ** k
                for k in range(n + 1))
+
+
+def laguerre_roots_bracketed(n: int) -> np.ndarray:
+    """All n roots of L_n, by interlacing brackets plus safeguarded Newton.
+
+    Roots of consecutive Laguerre polynomials interlace, so walking k up
+    from 1 gives bracketing intervals in which Newton cannot escape; a
+    bisection fallback guards the rare overshoot.  This O(n^4) walk shares
+    nothing with the package's eigenvalue route except the recurrence.
+    """
+    roots = np.empty(0)
+    for k in range(1, n + 1):
+        brackets = np.concatenate([[0.0], roots, [4.0 * k + 2.0]])
+        new = np.empty(k)
+        for j in range(k):
+            lo, hi = brackets[j], brackets[j + 1]
+            x = 0.5 * (lo + hi)
+            for _ in range(100):
+                Lk, Lkm1 = laguerre_pair(k, x)
+                # y L_k' = k (L_k - L_{k-1})
+                deriv = k * (Lk - Lkm1) / x
+                if Lk == 0.0:
+                    break
+                flo, _ = laguerre_pair(k, lo)
+                if (Lk > 0) == (flo > 0):
+                    lo = x
+                else:
+                    hi = x
+                step = Lk / deriv if deriv != 0.0 else 0.0
+                x_new = x - step
+                if not lo < x_new < hi:
+                    x_new = 0.5 * (lo + hi)
+                if abs(x_new - x) <= 1e-15 * max(1.0, x):
+                    x = x_new
+                    break
+                x = x_new
+            else:
+                raise ConvergenceError(f"Laguerre root iteration stalled (k={k})")
+            new[j] = x
+        roots = new
+    return roots
 
 
 def eta_exact(n: int) -> float:
@@ -50,6 +92,6 @@ def eta_exact(n: int) -> float:
         return L_cur - 2.0 * S_prev
 
     total = 2.0 * (-1.0) ** n
-    for j, y in enumerate(laguerre_roots(n), start=1):
+    for j, y in enumerate(laguerre_roots_bracketed(n), start=1):
         total += 4.0 * (-1.0) ** j * np.exp(-0.5 * y) * G(y)
     return 0.5 * total - 1.0

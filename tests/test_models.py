@@ -12,10 +12,9 @@ from moyal.models import (DampedParams, HeliumParams, annihilation_symbol,
                           harmonic_wigner_values, helium_energy,
                           helium_energy_first_order, helium_excite,
                           helium_ground, helium_hamiltonians, helium_wigner,
-                          hermite_function, kummer, laguerre,
-                          oscillator_ground, oscillator_hamiltonian,
-                          oscillator_state, z_coordinate)
-from moyal.errors import ConvergenceError
+                          hermite_function, laguerre, oscillator_ground,
+                          oscillator_hamiltonian, oscillator_state,
+                          z_coordinate)
 from moyal.polygauss import marginal
 from moyal.star import polygauss_star
 
@@ -35,24 +34,6 @@ def test_laguerre_against_series_and_scipy():
     for n in (2, 7, 15):
         assert np.abs(laguerre(n, ys)
                       - scipy.special.eval_laguerre(n, ys)).max() < 1e-9
-
-
-def test_kummer_trivial_and_identities():
-    assert kummer(0.0, 1.0, 3.7) == 1.0
-    ys = np.linspace(0.0, 20.0, 41)
-    for n in range(11):
-        assert np.abs(kummer(-float(n), 1.0, ys) - laguerre(n, ys)).max() <= 1e-12
-    for y in np.linspace(0.0, 5.0, 11):
-        assert abs(kummer(1.0, 1.0, y) - np.exp(y)) <= 1e-12 * np.exp(y)
-
-
-def test_kummer_guards():
-    with pytest.raises(ValueError):
-        kummer(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer(0.5, -3.0, 1.0)
-    with pytest.raises(ConvergenceError):
-        kummer(0.5, 1.0, 400.0, max_terms=40)
 
 
 def test_hermite_function_orthonormal():

@@ -10,7 +10,7 @@ from moyal.negativity import (ETA_REFERENCE, damped_box, eta_grid,
                               eta_grid_damped, eta_radial, laguerre_roots,
                               lambda_scan, negativity_table)
 
-from oracles import eta_exact
+from oracles import eta_exact, laguerre_roots_bracketed
 
 
 def test_laguerre_roots_interlace():
@@ -23,6 +23,30 @@ def test_laguerre_roots_interlace():
     # they really are roots
     from moyal.models import laguerre
     assert np.abs(laguerre(5, r5)).max() < 1e-12
+
+
+def test_laguerre_roots_empty_for_n0():
+    assert laguerre_roots(0).shape == (0,)
+
+
+def test_laguerre_roots_match_bracketed_walk():
+    for n in range(1, 21):
+        roots = laguerre_roots(n)
+        walk = laguerre_roots_bracketed(n)
+        assert roots.shape == (n,)
+        assert np.abs(roots / walk - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [30, 50])
+def test_laguerre_roots_newton_correction_at_50_digits(n):
+    # L_n' = -L_{n-1}^{(1)}; both sides from mpmath's generalized Laguerre
+    from mpmath import laguerre, mp, mpf
+
+    with mp.workdps(50):
+        for y in laguerre_roots(n):
+            y = mpf(float(y))
+            correction = laguerre(n, 0, y) / laguerre(n - 1, 1, y)
+            assert abs(correction) / y <= 1e-14
 
 
 def test_eta_radial_ground_state_zero():
@@ -66,13 +90,6 @@ def test_eta_sequence_properties():
 def test_negativity_table_single_row():
     records = negativity_table(0)
     assert len(records) == 1 and records[0].eta == 0.0
-
-
-def test_negativity_table_thread_cap_determinism(monkeypatch):
-    serial = [r.eta for r in negativity_table(8)]
-    monkeypatch.setenv("MOYAL_THREADS", "4")
-    threaded = [r.eta for r in negativity_table(8)]
-    assert serial == threaded
 
 
 def test_eta_grid_nonnegative_state():
