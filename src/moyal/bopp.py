@@ -69,5 +69,5 @@ def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
         g = g.mul_symbol(coeff)
         out = g if out is None else out + g
     if out is None:
-        return PolyGauss({}, f.shape, f.hbar)
+        return PolyGauss({}, f.shape, f.hbar, f.frame)
     return out

@@ -92,8 +92,6 @@ def _write_text(path, text) -> None:
 
 def cmd_wigner(args, parser) -> int:
     _validate_model_args(args, parser)
-    if args.format != "csv":
-        parser.error("wigner grids are exported as CSV")
     if not args.out:
         parser.error("--out is required for wigner export")
     spec = _grid_spec(args)
@@ -134,8 +132,6 @@ def cmd_wigner(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     _validate_model_args(args, parser)
-    if args.format != "json":
-        parser.error("spectra are exported as JSON")
     rows = []
     if args.model == "damped":
         for n in range(args.n_max + 1):
@@ -171,8 +167,6 @@ def cmd_spectrum(args, parser) -> int:
 def cmd_negativity(args, parser) -> int:
     if args.model != "damped":
         parser.error("the negativity indicator is provided for the damped model")
-    if args.format != "json":
-        parser.error("negativity tables are exported as JSON")
     if args.lambda_scan is not None:
         try:
             lams = [float(t) for t in args.lambda_scan.split(",") if t.strip()]
@@ -245,13 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(pw)
     _add_grid_flags(pw)
     pw.add_argument("--out", required=False)
-    pw.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ps = sub.add_parser("spectrum", help="emit energy levels as JSON")
     _add_model_flags(ps)
     ps.add_argument("--n-max", type=int, default=3)
     ps.add_argument("--out", default=None)
-    ps.add_argument("--format", choices=("csv", "json"), default="json")
 
     pn = sub.add_parser("negativity", help="non-classicality indicator table")
     pn.add_argument("--model", choices=("harmonic", "damped", "helium"),
@@ -269,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--lambda-scan", default=None,
                     help="comma-separated dissipation values")
     pn.add_argument("--out", default=None)
-    pn.add_argument("--format", choices=("csv", "json"), default="json")
 
     pv = sub.add_parser("verify", help="run the cross-engine invariant suite")
     pv.add_argument("--nq", type=int, default=128,

@@ -138,11 +138,16 @@ def oscillator_state(n: int, m: float = 1.0, omega: float = 1.0,
     state = oscillator_ground(m, omega, hbar)
     if n == 0:
         return state
-    raise_op = bopp_from_symbol(creation_symbol(m, omega, hbar), "left", hbar)
-    for _ in range(n):
-        state = apply(raise_op, state)
-    norm2 = integrate(state.pointwise_mul(state.conjugate())).real
-    return state.scale(1.0 / np.sqrt(norm2))
+    return _raise_sector(state, n, m, omega, hbar)
+
+
+def _raise_sector(factor: PolyGauss, k: int, m, omega, hbar) -> PolyGauss:
+    """k creation steps on a quasi-amplitude, then renormalization."""
+    op = bopp_from_symbol(creation_symbol(m, omega, hbar), "left", hbar)
+    for _ in range(k):
+        factor = apply(op, factor)
+    norm2 = integrate(factor.pointwise_mul(factor.conjugate())).real
+    return factor.scale(1.0 / np.sqrt(norm2))
 
 
 def harmonic_wigner(n: int, m: float = 1.0, omega: float = 1.0,
@@ -214,14 +219,6 @@ def helium_ground(params: HeliumParams) -> HeliumState:
         oscillator_ground(params.m, params.omega_u, params.hbar),
         oscillator_ground(params.m, params.omega_v, params.hbar),
         params)
-
-
-def _raise_sector(factor: PolyGauss, k: int, m, omega, hbar) -> PolyGauss:
-    op = bopp_from_symbol(creation_symbol(m, omega, hbar), "left", hbar)
-    for _ in range(k):
-        factor = apply(op, factor)
-    norm2 = integrate(factor.pointwise_mul(factor.conjugate())).real
-    return factor.scale(1.0 / np.sqrt(norm2))
 
 
 def helium_excite(state: HeliumState, k: int = 1, sector: str = "both") -> HeliumState:
@@ -317,42 +314,25 @@ def damped_energy(dp: DampedParams) -> float:
     return np.sqrt(1.0 - dp.lam ** 2) * (dp.n + 0.5)
 
 
-def _monomial_condition_score(dp: DampedParams) -> float:
-    """Decimal digits lost to cancellation when L_n of the squeezed
-    quadratic form is expanded in raw (q, p) monomials."""
-    ratio = (1.0 + abs(dp.lam)) / (1.0 - abs(dp.lam))
-    return dp.n * np.log10(ratio) + 0.5 * dp.n
-
-
 def _damped_polygauss(dp: DampedParams, front: float) -> PolyGauss:
-    """front * exp(-y/2) L_n(y) as a PolyGauss.
+    """front * exp(-y/2) L_n(y) as a PolyGauss, in the squeeze frame.
 
-    For benign parameters the expansion is done in float64.  Squeezed
-    high-order states (score above ~3 digits) are formed with mpmath
-    coefficients so that downstream evaluation and integration retain the
-    accuracy the monomial basis would otherwise destroy.
+    In the frame (u, v) = S (q, p) with S = (1/2) [[a + 1/a, a - 1/a],
+    [a - 1/a, a + 1/a]], a = ((1 - lam) / (1 + lam))^(1/4), y equals
+    2 (u^2 + v^2), so the state is the harmonic one, front L_n(2 (u^2 + v^2))
+    exp(-(u^2 + v^2)), seen through a symmetric squeeze along the 45-degree
+    axes (det S = 1).  Squeezing thus costs no digits.  At lam = 0 the
+    frame is the identity and is left out.
     """
-    score = _monomial_condition_score(dp)
-    c_f = 2.0 / np.sqrt(1.0 - dp.lam ** 2)
-    shape = QuadForm.from_coeffs(0.5 * c_f, -0.5 * c_f * dp.lam, 0.5 * c_f)
-    if score <= 3.0:
-        ysym = PolynomialSymbol(
-            {(2, 0): c_f, (0, 2): c_f, (1, 1): -2.0 * c_f * dp.lam})
-        poly = _laguerre_of_form(dp.n, ysym) * front
-        return PolyGauss.from_symbol(poly, shape, dp.hbar)
-    from mpmath import mp, mpf
-    with mp.workdps(int(25 + score)):
-        lam = mpf(dp.lam)
-        c = 2 / mp.sqrt(1 - lam * lam)
-        ysym = PolynomialSymbol({(2, 0): c, (0, 2): c, (1, 1): -2 * c * lam})
-        coeffs = [mpf(1)]
-        for k in range(dp.n):
-            coeffs.append(coeffs[-1] * (-(dp.n - k)) / ((k + 1) ** 2))
-        acc = PolynomialSymbol.constant(coeffs[dp.n])
-        for k in range(dp.n - 1, -1, -1):
-            acc = acc * ysym + PolynomialSymbol.constant(coeffs[k])
-        poly = acc * mpf(front)
-    return PolyGauss.from_symbol(poly, shape, dp.hbar)
+    ysym = PolynomialSymbol({(2, 0): 2.0, (0, 2): 2.0})
+    poly = _laguerre_of_form(dp.n, ysym) * front
+    shape = QuadForm.from_coeffs(1.0, 0.0, 1.0)
+    frame = None
+    if dp.lam != 0.0:
+        a = ((1.0 - dp.lam) / (1.0 + dp.lam)) ** 0.25
+        frame = 0.5 * np.array([[a + 1.0 / a, a - 1.0 / a],
+                                [a - 1.0 / a, a + 1.0 / a]])
+    return PolyGauss(poly.coeffs, shape, dp.hbar, frame)
 
 
 def damped_quasiamplitude(dp: DampedParams) -> PolyGauss:

@@ -2,12 +2,23 @@
 
 The exponential part is held as a quadratic form with the sign convention
 
-    f(q, p) = sum_{a,b} c_{ab} q^a p^b * exp(-(x^T A x + l.x + k)),  x = (q, p),
+    f(x) = sum_{a,b} c_{ab} u^a v^b * exp(-(w^T A w + l.w + k)),  w = (u, v) = S x,
 
-where A is a complex symmetric 2x2 matrix, l a complex 2-vector and k a
-complex scalar.  The class is closed under differentiation, multiplication
-by polynomials, star products, full-plane integration and marginals, which
-is what makes every model in this package exactly computable.
+where x = (q, p), A is a complex symmetric 2x2 matrix, l a complex 2-vector,
+k a complex scalar and S a real 2x2 matrix with det S = 1, the frame.  The
+frame is part of the value, like the quadratic form; it defaults to the
+identity, where (u, v) = (q, p).  A linear map of unit determinant on the plane
+is symplectic, so the Moyal product commutes with it,
+(F o S) * (G o S) = (F * G) o S, and integrals do not see it: a function
+whose natural variables are a squeezed or rotated copy of (q, p) keeps its
+short polynomial in those variables instead of a long, cancelling one in
+raw monomials.
+
+The class is closed under differentiation, multiplication by polynomials,
+star products, full-plane integration and marginals, which is what makes
+every model in this package exactly computable.  Operations between two
+different frames, and marginals, first expand to the identity frame
+(``PolyGauss.lab``).
 
 A function is normalizable when Re(A) is positive definite; integration
 requires that.  All values are immutable after construction and every
@@ -21,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonNormalizableError, ParameterMismatchError
-from .symbols import PRUNE_REL_TOL, PolynomialSymbol
+from .symbols import PolynomialSymbol, convolve_coeffs, prune_coeffs
 
 
 @dataclass(frozen=True)
@@ -84,30 +95,42 @@ class QuadForm:
                 and abs(self.k - other.k) <= tol)
 
 
-def _prune_terms(terms: dict) -> dict:
-    if not terms:
-        return {}
-    biggest = max(abs(c) for c in terms.values())
-    if biggest == 0.0:
-        return {}
-    cut = PRUNE_REL_TOL * biggest
-    # extended-precision coefficients (mpmath) pass through unconverted;
-    # they carry the cancellation headroom that float64 cannot
-    return {k: (complex(c) if isinstance(c, (int, float, complex)) else c)
-            for k, c in terms.items() if abs(c) > cut}
+def _check_frame(frame):
+    """The frame as a read-only float array, or None for the identity."""
+    if frame is None:
+        return None
+    S = np.asarray(frame)
+    if S.shape != (2, 2) or np.iscomplexobj(S):
+        raise ValueError("frame must be a real 2x2 matrix")
+    S = S.astype(float)
+    # det 1 to 1e-12 on the scale of its two products, which a strong
+    # squeeze makes large
+    products = S[0, 0] * S[1, 1], S[0, 1] * S[1, 0]
+    if not abs(products[0] - products[1] - 1.0) <= 1e-12 * max(
+            1.0, abs(products[0]) + abs(products[1])):
+        raise ValueError("frame must have determinant 1")
+    S.flags.writeable = False
+    return S
 
 
 class PolyGauss:
-    """Polynomial times Gaussian on phase space; see the module docstring."""
+    """Polynomial times Gaussian on phase space, in a frame (u, v) = S (q, p).
 
-    __slots__ = ("terms", "shape", "hbar")
+    ``terms`` and ``shape`` are the polynomial and quadratic form in the
+    frame variables (u, v); ``frame`` is S, a real 2x2 matrix with det 1,
+    or None for the identity.  Only the model constructors set a frame.
+    See the module docstring.
+    """
 
-    def __init__(self, terms, shape: QuadForm, hbar: float = 1.0):
+    __slots__ = ("terms", "shape", "hbar", "frame")
+
+    def __init__(self, terms, shape: QuadForm, hbar: float = 1.0, frame=None):
         if hbar <= 0:
             raise ValueError("hbar must be positive")
-        self.terms = _prune_terms(dict(terms))
+        self.terms = prune_coeffs(dict(terms))
         self.shape = shape
         self.hbar = float(hbar)
+        self.frame = _check_frame(frame)
 
     @classmethod
     def gaussian(cls, shape: QuadForm, hbar: float = 1.0, coeff=1.0) -> "PolyGauss":
@@ -124,65 +147,94 @@ class PolyGauss:
         return max(a + b for a, b in self.terms)
 
     def poly(self) -> PolynomialSymbol:
+        """The polynomial part, in the frame variables."""
         return PolynomialSymbol(self.terms)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return not self.terms or max(abs(c) for c in self.terms.values()) <= tol
 
+    def lab(self) -> "PolyGauss":
+        """The same function in the identity frame: the polynomial becomes
+        P o S, A becomes S^T A S and l becomes S^T l.  Squeezed states lose
+        the digits of the monomial expansion here."""
+        if self.frame is None:
+            return self
+        S = self.frame
+        shape = QuadForm(S.T @ self.shape.A @ S, S.T @ self.shape.l, self.shape.k)
+        return PolyGauss(self.poly().linear_map(S).coeffs, shape, self.hbar)
+
+    def _in_common_frame(self, other: "PolyGauss"):
+        """(self, other) unchanged when their frames agree, else both
+        expanded to the identity frame."""
+        S1, S2 = self.frame, other.frame
+        if S1 is S2 or (S1 is not None and S2 is not None
+                        and np.array_equal(S1, S2)):
+            return self, other
+        return self.lab(), other.lab()
+
     # ---- pointwise algebra -------------------------------------------------
 
     def scale(self, c) -> "PolyGauss":
-        return PolyGauss({k: c * v for k, v in self.terms.items()}, self.shape, self.hbar)
+        return PolyGauss({k: c * v for k, v in self.terms.items()}, self.shape,
+                         self.hbar, self.frame)
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         self._check_compatible(other)
-        if not self.shape.allclose(other.shape):
+        f, g = self._in_common_frame(other)
+        if not f.shape.allclose(g.shape):
             raise ParameterMismatchError(
                 "cannot add functions with different Gaussian shapes")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(f.terms)
+        for k, c in g.terms.items():
             out[k] = out.get(k, 0.0) + c
-        return PolyGauss(out, self.shape, self.hbar)
+        return PolyGauss(out, f.shape, f.hbar, f.frame)
 
     def __sub__(self, other: "PolyGauss") -> "PolyGauss":
         return self + other.scale(-1.0)
 
     def mul_symbol(self, s: PolynomialSymbol) -> "PolyGauss":
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in s.coeffs.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return PolyGauss(out, self.shape, self.hbar)
+        """Pointwise product with a polynomial s(q, p): in the frame that is
+        multiplication by s o S^-1."""
+        if self.frame is not None:
+            (a, b), (c, d) = self.frame
+            s = s.linear_map(np.array([[d, -b], [-c, a]]))
+        return PolyGauss(convolve_coeffs(self.terms, s.coeffs), self.shape,
+                         self.hbar, self.frame)
 
     def pointwise_mul(self, other: "PolyGauss") -> "PolyGauss":
         """Plain (non-star) product; shapes add, polynomials convolve."""
         self._check_compatible(other)
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return PolyGauss(out, self.shape + other.shape, self.hbar)
+        f, g = self._in_common_frame(other)
+        return PolyGauss(convolve_coeffs(f.terms, g.terms), f.shape + g.shape,
+                         f.hbar, f.frame)
 
     def conjugate(self) -> "PolyGauss":
         return PolyGauss({k: np.conj(c) for k, c in self.terms.items()},
-                         self.shape.conjugate(), self.hbar)
+                         self.shape.conjugate(), self.hbar, self.frame)
 
     # ---- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "PolyGauss":
         """Exact partial derivative with respect to 'q' or 'p'.
 
-        d/dq [P e^E] = (dP/dq + P dE/dq) e^E with dE/dq linear, so the class
-        is closed under differentiation.
+        d/du [P e^E] = (dP/du + P dE/du) e^E with dE/du linear, so the class
+        is closed under differentiation; in a frame the chain rule gives
+        d/dx_j = sum_i S_ij d/dw_i with x = (q, p) and w = (u, v).
         """
-        if var == "q":
-            idx, row = 0, self.shape.A[0]
-        elif var == "p":
-            idx, row = 1, self.shape.A[1]
-        else:
+        if var not in ("q", "p"):
             raise ValueError("var must be 'q' or 'p'")
+        j = 0 if var == "q" else 1
+        if self.frame is None:
+            return PolyGauss(self._diff_terms(j), self.shape, self.hbar)
+        out = {}
+        for i in range(2):
+            for key, c in self._diff_terms(i).items():
+                out[key] = out.get(key, 0.0) + self.frame[i, j] * c
+        return PolyGauss(out, self.shape, self.hbar, self.frame)
+
+    def _diff_terms(self, idx: int) -> dict:
+        """Unpruned terms of the derivative along frame variable idx."""
+        row = self.shape.A[idx]
         out = {}
         for (a, b), c in self.terms.items():
             # polynomial part
@@ -190,37 +242,38 @@ class PolyGauss:
                 out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
             if idx == 1 and b > 0:
                 out[(a, b - 1)] = out.get((a, b - 1), 0.0) + b * c
-            # exponent part: dE/dx_i = -(2 A x + l)_i
+            # exponent part: dE/dw_i = -(2 A w + l)_i
             out[(a + 1, b)] = out.get((a + 1, b), 0.0) - 2.0 * row[0] * c
             out[(a, b + 1)] = out.get((a, b + 1), 0.0) - 2.0 * row[1] * c
             key = (a, b)
             out[key] = out.get(key, 0.0) - self.shape.l[idx] * c
-        return PolyGauss(out, self.shape, self.hbar)
+        return out
 
+    # Coefficients are always complex128, so there is no other precision.
+    # Kept because perfbench/tracing.py calls it by name.
     def has_extended_precision(self) -> bool:
-        return any(not isinstance(c, complex) for c in self.terms.values())
+        return False
 
+    # Nothing in the package calls this; kept because perfbench/tracing.py
+    # wraps it by name.
     def as_float(self) -> "PolyGauss":
-        """Coefficients downcast to complex128 (lossy for squeezed states)."""
-        return PolyGauss({k: complex(c) for k, c in self.terms.items()},
-                         self.shape, self.hbar)
+        """Coefficients as complex128, which they always are."""
+        return self
 
     def evaluate(self, q, p):
         """Pointwise values; finite at every finite point by construction.
 
-        When coefficients carry extended precision the polynomial sum is run
-        at that precision before the (harmless) downcast of the value; this
-        is what keeps strongly squeezed high-order states accurate, where
-        the monomial basis cancels catastrophically in float64.
+        The points are mapped through the frame, (u, v) = S (q, p), and the
+        polynomial and Gaussian are summed in the frame variables.
         """
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        if self.has_extended_precision():
-            poly = _eval_poly_mp(self.terms, q, p)
-        else:
-            poly = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-            for (a, b), c in self.terms.items():
-                poly = poly + c * q ** a * p ** b
+        if self.frame is not None:
+            S = self.frame
+            q, p = S[0, 0] * q + S[0, 1] * p, S[1, 0] * q + S[1, 1] * p
+        poly = np.zeros(np.broadcast(q, p).shape, dtype=complex)
+        for (a, b), c in self.terms.items():
+            poly = poly + c * q ** a * p ** b
         return poly * np.exp(self.shape.exponent(q, p))
 
     def _check_compatible(self, other: "PolyGauss"):
@@ -229,8 +282,9 @@ class PolyGauss:
                 f"hbar mismatch: {self.hbar} vs {other.hbar}")
 
     def __repr__(self):
+        framed = "" if self.frame is None else ", framed"
         return (f"PolyGauss(degree={self.degree}, nterms={len(self.terms)}, "
-                f"hbar={self.hbar})")
+                f"hbar={self.hbar}{framed})")
 
 
 class PolyGauss1D:
@@ -279,37 +333,6 @@ def _hermite_scalar_1d(nmax: int, L: complex, K: complex):
     return H[: nmax + 1]
 
 
-_MP_WORK_DPS = 50
-
-
-def _eval_poly_mp(terms: dict, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Polynomial part at extended precision, one point at a time."""
-    from mpmath import mp, mpf
-
-    qb, pb = np.broadcast_arrays(q, p)
-    flat_q = qb.ravel()
-    flat_p = pb.ravel()
-    out = np.empty(flat_q.shape, dtype=complex)
-    amax = max(a for a, _ in terms)
-    bmax = max(b for _, b in terms)
-    items = list(terms.items())
-    with mp.workdps(_MP_WORK_DPS):
-        for i in range(flat_q.size):
-            qa = [mpf(1)] * (amax + 1)
-            pb_ = [mpf(1)] * (bmax + 1)
-            qv = mpf(float(flat_q[i]))
-            pv = mpf(float(flat_p[i]))
-            for a in range(1, amax + 1):
-                qa[a] = qa[a - 1] * qv
-            for b in range(1, bmax + 1):
-                pb_[b] = pb_[b - 1] * pv
-            acc = mpf(0)
-            for (a, b), c in items:
-                acc += c * qa[a] * pb_[b]
-            out[i] = complex(acc)
-    return out.reshape(qb.shape)
-
-
 def _sqrt_det_principal(M: np.ndarray) -> complex:
     """sqrt(det M) through principal square roots of the eigenvalues.
 
@@ -330,14 +353,12 @@ def integrate(f: PolyGauss) -> complex:
     The Gaussian base integral is pi/sqrt(det A) times the completed-square
     exponential; polynomial prefactors are generated by differentiating a
     source term, which yields a two-variable Hermite recursion with constant
-    first-order data.
+    first-order data.  The frame does not enter, because det S = 1.
     """
     if not f.shape.is_normalizable():
         raise NonNormalizableError("Re(A) is not positive definite")
     if not f.terms:
         return 0.0 + 0.0j
-    if f.has_extended_precision():
-        return _integrate_mp(f)
     A, l, k = f.shape.A, f.shape.l, f.shape.k
     Ainv = np.linalg.inv(A)
     base = np.pi / _sqrt_det_principal(A) * np.exp(0.25 * l @ Ainv @ l - k)
@@ -364,54 +385,12 @@ def integrate(f: PolyGauss) -> complex:
     return complex(base * sum(c * H[a, b] for (a, b), c in f.terms.items()))
 
 
-def _integrate_mp(f: PolyGauss) -> complex:
-    """integrate() at extended precision (closed 2x2 forms throughout)."""
-    from mpmath import exp as mexp, mp, mpc, pi as mpi, sqrt as msqrt
-
-    with mp.workdps(_MP_WORK_DPS):
-        a11 = mpc(complex(f.shape.A[0, 0]))
-        a12 = mpc(complex(f.shape.A[0, 1]))
-        a22 = mpc(complex(f.shape.A[1, 1]))
-        l1 = mpc(complex(f.shape.l[0]))
-        l2 = mpc(complex(f.shape.l[1]))
-        kc = mpc(complex(f.shape.k))
-        det = a11 * a22 - a12 * a12
-        tr = a11 + a22
-        disc = msqrt(tr * tr - 4 * det)
-        sqrt_det = msqrt((tr + disc) / 2) * msqrt((tr - disc) / 2)
-        i11, i12, i22 = a22 / det, -a12 / det, a11 / det
-        quad_l = (l1 * (i11 * l1 + i12 * l2) + l2 * (i12 * l1 + i22 * l2)) / 4
-        base = mpi / sqrt_det * mexp(quad_l - kc)
-        L1 = -(i11 * l1 + i12 * l2) / 2
-        L2 = -(i12 * l1 + i22 * l2) / 2
-        K11, K12, K22 = i11 / 2, i12 / 2, i22 / 2
-        amax = max(a for a, _ in f.terms)
-        bmax = max(b for _, b in f.terms)
-        H = [[mpc(0)] * (bmax + 1) for _ in range(amax + 1)]
-        H[0][0] = mpc(1)
-        for b in range(1, bmax + 1):
-            H[0][b] = L2 * H[0][b - 1]
-            if b >= 2:
-                H[0][b] += (b - 1) * K22 * H[0][b - 2]
-        for a in range(1, amax + 1):
-            for b in range(bmax + 1):
-                val = L1 * H[a - 1][b]
-                if a >= 2:
-                    val += (a - 1) * K11 * H[a - 2][b]
-                if b >= 1:
-                    val += b * K12 * H[a - 1][b - 1]
-                H[a][b] = val
-        total = mpc(0)
-        for (a, b), c in f.terms.items():
-            total += c * H[a][b]
-        return complex(base * total)
-
-
 def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
     """Integrate out one variable exactly; axis names the variable removed.
 
     marginal(f, 'p') returns a function of q.  Requires the integrated
-    direction to decay (positive real part of the diagonal A entry).
+    direction to decay (positive real part of the diagonal A entry).  A
+    function in a frame is expanded to the identity frame first.
     """
     if axis == "p":
         keep, drop = 0, 1
@@ -419,8 +398,7 @@ def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
         keep, drop = 1, 0
     else:
         raise ValueError("axis must be 'q' or 'p'")
-    if f.has_extended_precision():
-        f = f.as_float()
+    f = f.lab()
     A, l, k = f.shape.A, f.shape.l, f.shape.k
     alpha = A[drop, drop]
     if alpha.real <= 0.0:

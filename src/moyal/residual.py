@@ -46,15 +46,7 @@ def eigen_residual(H: PolynomialSymbol, f: PolyGauss, E: float,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if f.has_extended_precision():
-        # mpmath arithmetic rounds to the *ambient* precision, so the whole
-        # operator application must run under a widened context
-        from mpmath import mp
-
-        with mp.workdps(60):
-            Hf = apply(bopp_from_symbol(H, "left", f.hbar), f)
-    else:
-        Hf = apply(bopp_from_symbol(H, "left", f.hbar), f)
+    Hf = apply(bopp_from_symbol(H, "left", f.hbar), f)
     pts = halton_points(n_samples, sample_box)
     q, p = pts[:, 0], pts[:, 1]
     num = np.abs(Hf.evaluate(q, p) - E * f.evaluate(q, p))

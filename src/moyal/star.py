@@ -25,6 +25,11 @@ Those derivatives satisfy a four-variable Hermite-style recursion
 
 with K = M^-1 constant and L_i(x) affine in x, evaluated here by dynamic
 programming over dense coefficient arrays.
+
+Operands in the same frame S (see ``moyal.polygauss``) are starred in that
+frame and the result keeps it, since (F o S) * (G o S) = (F * G) o S for a
+linear map S of unit determinant; operands in different frames are first
+expanded to the identity frame.
 """
 
 from __future__ import annotations
@@ -70,10 +75,11 @@ def gaussian_star(g1: PolyGauss, g2: PolyGauss) -> PolyGauss:
     g1._check_compatible(g2)
     if g1.degree > 0 or g2.degree > 0:
         raise ValueError("gaussian_star requires degree-0 operands")
+    g1, g2 = g1._in_common_frame(g2)
     pref, shape, _, _, _ = _star_system(g1.shape, g2.shape, g1.hbar)
     c1 = g1.terms.get((0, 0), 0.0)
     c2 = g2.terms.get((0, 0), 0.0)
-    return PolyGauss({(0, 0): pref * c1 * c2}, shape, g1.hbar)
+    return PolyGauss({(0, 0): pref * c1 * c2}, shape, g1.hbar, g1.frame)
 
 
 def _affine_mul(arr: np.ndarray, c0: complex, cq: complex, cp: complex) -> np.ndarray:
@@ -97,13 +103,10 @@ def polygauss_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     docstring; the result polynomial degree is at most deg(f) + deg(g).
     """
     f._check_compatible(g)
-    if f.has_extended_precision():
-        f = f.as_float()
-    if g.has_extended_precision():
-        g = g.as_float()
+    f, g = f._in_common_frame(g)
     if not f.terms or not g.terms:
         pref, shape, _, _, _ = _star_system(f.shape, g.shape, f.hbar)
-        return PolyGauss({}, shape, f.hbar)
+        return PolyGauss({}, shape, f.hbar, f.frame)
     pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
     amax = max(a for a, _ in f.terms)
     bmax = max(b for _, b in f.terms)
@@ -164,4 +167,4 @@ def polygauss_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     nz = np.argwhere(total != 0.0)
     for i, j in nz:
         terms[(int(i), int(j))] = pref * total[i, j]
-    return PolyGauss(terms, shape, f.hbar)
+    return PolyGauss(terms, shape, f.hbar, f.frame)

@@ -15,17 +15,26 @@ import numpy as np
 PRUNE_REL_TOL = 1e-14
 
 
-def _pruned(coeffs: dict) -> dict:
+def prune_coeffs(coeffs: dict) -> dict:
+    """Drop coefficients at or below PRUNE_REL_TOL times the largest one;
+    the kept ones are stored as complex."""
     if not coeffs:
         return {}
     biggest = max(abs(c) for c in coeffs.values())
     if biggest == 0.0:
         return {}
     cut = PRUNE_REL_TOL * biggest
-    # plain numbers are normalized to complex; extended-precision scalars
-    # (e.g. mpmath) pass through untouched
-    return {k: (complex(c) if isinstance(c, (int, float, complex)) else c)
-            for k, c in coeffs.items() if abs(c) > cut}
+    return {k: complex(c) for k, c in coeffs.items() if abs(c) > cut}
+
+
+def convolve_coeffs(c1: dict, c2: dict) -> dict:
+    """Coefficients of the product of two polynomials (unpruned)."""
+    out = {}
+    for (a1, b1), x1 in c1.items():
+        for (a2, b2), x2 in c2.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0.0) + x1 * x2
+    return out
 
 
 class PolynomialSymbol:
@@ -34,7 +43,7 @@ class PolynomialSymbol:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = _pruned(dict(coeffs) if coeffs else {})
+        self.coeffs = prune_coeffs(dict(coeffs) if coeffs else {})
 
     @classmethod
     def constant(cls, c) -> "PolynomialSymbol":
@@ -72,13 +81,7 @@ class PolynomialSymbol:
     def __mul__(self, other):
         if not isinstance(other, PolynomialSymbol) and np.isscalar(other):
             return PolynomialSymbol({k: c * other for k, c in self.coeffs.items()})
-        other = _coerce(other)
-        out = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return PolynomialSymbol(out)
+        return PolynomialSymbol(convolve_coeffs(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -100,6 +103,25 @@ class PolynomialSymbol:
             out = PolynomialSymbol(
                 {(a, b - 1): b * c for (a, b), c in out.coeffs.items() if b > 0})
         return out
+
+    def linear_map(self, M) -> "PolynomialSymbol":
+        """The composition s o M, i.e. the polynomial x -> s(M x), for a
+        2x2 matrix M."""
+        M = np.asarray(M)
+        amax = max((a for a, _ in self.coeffs), default=0)
+        bmax = max((b for _, b in self.coeffs), default=0)
+        powers = []
+        for row, top in ((M[0], amax), (M[1], bmax)):
+            form = {(1, 0): row[0], (0, 1): row[1]}
+            pw = [{(0, 0): 1.0}]
+            for _ in range(top):
+                pw.append(convolve_coeffs(pw[-1], form))
+            powers.append(pw)
+        out = {}
+        for (a, b), c in self.coeffs.items():
+            for key, x in convolve_coeffs(powers[0][a], powers[1][b]).items():
+                out[key] = out.get(key, 0.0) + c * x
+        return PolynomialSymbol(out)
 
     def evaluate(self, q, p):
         """Evaluate at scalar or array arguments (numpy broadcasting)."""

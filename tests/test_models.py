@@ -270,7 +270,7 @@ def test_damped_w1_origin_value():
 
 
 @pytest.mark.parametrize("lam,n", [(0.1, 1), (0.1, 3), (0.1, 5), (0.5, 3),
-                                   (0.9, 1)])
+                                   (0.9, 1), (0.9, 5)])
 def test_same_form_theorem(lam, n):
     dp = DampedParams(lam, n)
     psi = damped_quasiamplitude(dp)

@@ -3,7 +3,9 @@ import pytest
 
 from moyal import (NonNormalizableError, ParameterMismatchError, PolyGauss,
                    QuadForm, integrate, marginal)
-from moyal.models import DampedParams, damped_wigner, hermite_function
+from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
+                          hermite_function)
+from moyal.symbols import PolynomialSymbol
 
 from oracles import quad2d
 
@@ -126,3 +128,73 @@ def test_pruning_relative_to_largest():
     assert (4, 4) not in f.terms
     g = PolyGauss({(0, 0): 1e-20, (4, 4): 3e-20}, STD, 1.0)
     assert (0, 0) in g.terms  # relative rule keeps same-scale smallness
+
+
+# ---- frames ----------------------------------------------------------------
+
+GRID = np.meshgrid(np.linspace(-4, 4, 17), np.linspace(-4, 4, 17), indexing="ij")
+
+
+def _rel_dev(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("frame", [
+    np.diag([2.0, 1.0]),                       # det 2
+    np.array([[1.0, 1.0], [1.0, 1.0]]),        # singular
+    np.eye(2) * (1.0 + 1e-9),                  # det off by 2e-9
+    np.eye(2) + 0j,                            # complex
+    np.eye(3),                                 # not 2x2
+])
+def test_frame_rejects_non_unimodular_matrix(frame):
+    with pytest.raises(ValueError):
+        PolyGauss({(0, 0): 1.0}, STD, 1.0, frame)
+
+
+def test_frame_accepts_strong_squeeze():
+    # det S = 1 up to rounding that grows with the squeeze (|S|^2 ~ 7e4 here)
+    W = damped_wigner(DampedParams(1.0 - 1e-10, 0))
+    assert integrate(W).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_lab_equals_framed_function(n):
+    W = damped_wigner(DampedParams(0.9, n))
+    assert W.frame is not None
+    lab = W.lab()
+    assert lab.frame is None
+    assert _rel_dev(lab.evaluate(*GRID), W.evaluate(*GRID)) <= 1e-10
+
+
+@pytest.mark.parametrize("var", ["q", "p"])
+def test_framed_diff_and_mul_symbol_match_lab(var):
+    W = damped_quasiamplitude(DampedParams(0.9, 2))
+    got = W.diff(var)
+    assert np.array_equal(got.frame, W.frame)
+    want = W.lab().diff(var)
+    assert _rel_dev(got.evaluate(*GRID), want.evaluate(*GRID)) <= 1e-10
+    s = PolynomialSymbol({(1, 0): 0.3, (0, 2): -1.2j, (1, 1): 0.5})
+    assert _rel_dev(W.mul_symbol(s).evaluate(*GRID),
+                    W.lab().mul_symbol(s).evaluate(*GRID)) <= 1e-10
+
+
+def test_mixed_frame_add_and_pointwise_mul_expand_to_lab():
+    W = damped_wigner(DampedParams(0.9, 2))
+    both = W + W.lab()
+    assert both.frame is None
+    assert _rel_dev(both.evaluate(*GRID), 2.0 * W.evaluate(*GRID)) <= 1e-10
+    sq = W.pointwise_mul(W.lab())
+    assert _rel_dev(sq.evaluate(*GRID), W.evaluate(*GRID) ** 2) <= 1e-10
+    assert np.array_equal(W.pointwise_mul(W).frame, W.frame)
+
+
+def test_framed_scale_conjugate_keep_frame_and_integrate():
+    W = damped_wigner(DampedParams(0.5, 3))
+    assert np.array_equal(W.scale(2.0).frame, W.frame)
+    assert np.array_equal(W.conjugate().frame, W.frame)
+    assert integrate(W).real == pytest.approx(integrate(W.lab()).real, abs=1e-12)
+
+
+def test_marginal_of_framed_damped_state():
+    m = marginal(damped_wigner(DampedParams(0.5, 2)), "p")
+    assert m.integrate().real == pytest.approx(1.0, abs=1e-12)

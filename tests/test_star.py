@@ -5,7 +5,7 @@ from moyal import (PolyGauss, QuadForm, StarSingularError, gaussian_star,
                    integrate, polygauss_star)
 from moyal.grid import GridSpec, grid_distance, sample, star_numeric
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
-                          oscillator_state)
+                          harmonic_wigner, oscillator_state)
 
 STD = QuadForm(np.eye(2))
 
@@ -130,4 +130,34 @@ def test_star_numeric_cross_check_high_degree(rng, degree):
     exact = sample(polygauss_star(f, g), spec)
     num = star_numeric(sample(f, spec), sample(g, spec), method="fft")
     sup, l2 = grid_distance(exact, num)
+    assert sup <= 1e-6 and l2 <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("n", range(6))
+def test_damped_purity_and_trace(lam, n):
+    # W * W = W / (2 pi) and 2 pi int W * W = 1 for every pure state
+    W = damped_wigner(DampedParams(lam, n))
+    WW = polygauss_star(W, W)
+    assert np.array_equal(WW.frame, W.frame)
+    qs = np.linspace(-3, 3, 13)
+    Q, P = np.meshgrid(qs, qs, indexing="ij")
+    ref = W.evaluate(Q, P) / (2.0 * np.pi)
+    assert np.abs(WW.evaluate(Q, P) - ref).max() / np.abs(ref).max() <= 1e-9
+    assert abs(2.0 * np.pi * integrate(WW) - 1.0) <= 1e-9
+    if n == 0:
+        WW0 = gaussian_star(W, W)
+        assert np.abs(WW0.evaluate(Q, P) - ref).max() / np.abs(ref).max() <= 1e-12
+
+
+def test_mixed_frame_star_against_grid():
+    # a damped state (squeeze frame) starred with a harmonic one (no frame);
+    # opposite parities would give zero, so both are odd here
+    f = damped_wigner(DampedParams(0.5, 3))
+    g = harmonic_wigner(1)
+    exact = polygauss_star(f, g)
+    assert exact.frame is None
+    spec = GridSpec(-8.0, 8.0, -8.0, 8.0, 128, 128)
+    num = star_numeric(sample(f, spec), sample(g, spec), method="fft")
+    sup, l2 = grid_distance(sample(exact, spec), num)
     assert sup <= 1e-6 and l2 <= 1e-6
