@@ -14,7 +14,7 @@ from .errors import (BoxTooSmallError, ConvergenceError, GridMismatchError,
 from .symbols import PolynomialSymbol, p_symbol, q_symbol
 from .polygauss import PolyGauss, PolyGauss1D, QuadForm, integrate, marginal
 from .bopp import BoppOperator, apply, bopp_from_symbol
-from .star import gaussian_star, polygauss_star
+from .star import polygauss_star
 from .residual import eigen_residual, halton_points
 from .grid import (GridField, GridSpec, grid_distance, moyal_bracket_numeric,
                    sample, star_numeric, tapered_sample,
@@ -40,7 +40,7 @@ __all__ = [
     "PolynomialSymbol", "q_symbol", "p_symbol",
     "QuadForm", "PolyGauss", "PolyGauss1D", "integrate", "marginal",
     "BoppOperator", "bopp_from_symbol", "apply",
-    "gaussian_star", "polygauss_star",
+    "polygauss_star",
     "eigen_residual", "halton_points",
     "GridSpec", "GridField", "sample", "tapered_sample", "star_numeric",
     "moyal_bracket_numeric", "wigner_from_wavefunction", "grid_distance",

@@ -97,36 +97,32 @@ def cmd_wigner(args, parser) -> int:
     spec = _grid_spec(args)
     Q, P = spec.meshgrid()
     common = {"model": args.model, "normalization": "unit-integral"}
-    try:
-        if args.model == "damped":
-            dp = DampedParams(args.lam, args.n)
-            vals = damped_wigner_values(dp, Q, P)
-            field = GridField(spec, vals, 1.0)
-            write_grid_csv(field, args.out,
-                           {**common, "n": args.n, "lambda": args.lam})
-        elif args.model == "harmonic":
-            vals = harmonic_wigner_values(args.n, Q, P, args.mass, args.omega,
-                                          args.hbar)
-            field = GridField(spec, vals, args.hbar)
-            write_grid_csv(field, args.out,
-                           {**common, "n": args.n, "m": args.mass,
-                            "omega": args.omega, "hbar": args.hbar})
-        else:
-            params = HeliumParams(args.mass, args.omega, args.xi, args.hbar)
-            stem, dot, ext = args.out.rpartition(".")
-            if not dot:
-                stem, ext = args.out, "csv"
-            for sector, nn, om in (("u", args.nu, params.omega_u),
-                                   ("v", args.nv, params.omega_v)):
-                vals = harmonic_wigner_values(nn, Q, P, params.m, om, params.hbar)
-                field = GridField(spec, vals, params.hbar)
-                write_grid_csv(field, f"{stem}_{sector}.{ext}",
-                               {**common, "sector": sector, "n": nn,
-                                "xi": args.xi, "m": params.m,
-                                "omega": params.omega, "hbar": params.hbar})
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.model == "damped":
+        dp = DampedParams(args.lam, args.n)
+        vals = damped_wigner_values(dp, Q, P)
+        field = GridField(spec, vals, 1.0)
+        write_grid_csv(field, args.out,
+                       {**common, "n": args.n, "lambda": args.lam})
+    elif args.model == "harmonic":
+        vals = harmonic_wigner_values(args.n, Q, P, args.mass, args.omega,
+                                      args.hbar)
+        field = GridField(spec, vals, args.hbar)
+        write_grid_csv(field, args.out,
+                       {**common, "n": args.n, "m": args.mass,
+                        "omega": args.omega, "hbar": args.hbar})
+    else:
+        params = HeliumParams(args.mass, args.omega, args.xi, args.hbar)
+        stem, dot, ext = args.out.rpartition(".")
+        if not dot:
+            stem, ext = args.out, "csv"
+        for sector, nn, om in (("u", args.nu, params.omega_u),
+                               ("v", args.nv, params.omega_v)):
+            vals = harmonic_wigner_values(nn, Q, P, params.m, om, params.hbar)
+            field = GridField(spec, vals, params.hbar)
+            write_grid_csv(field, f"{stem}_{sector}.{ext}",
+                           {**common, "sector": sector, "n": nn,
+                            "xi": args.xi, "m": params.m,
+                            "omega": params.omega, "hbar": params.hbar})
     return EXIT_OK
 
 
@@ -156,11 +152,7 @@ def cmd_spectrum(args, parser) -> int:
             })
         extra = {"model": "helium", "xi": args.xi, "m": params.m,
                  "omega": params.omega, "hbar": params.hbar}
-    try:
-        _write_text(args.out, records_to_json(rows, extra))
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, records_to_json(rows, extra))
     return EXIT_OK
 
 
@@ -179,11 +171,7 @@ def cmd_negativity(args, parser) -> int:
             "grid_etas": [r.eta for r in report.grid],
             "max_deviation": report.max_deviation, "ok": report.ok,
         }
-        try:
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_text(args.out, json.dumps(doc, indent=2) + "\n")
         if not report.ok:
             print(f"lambda scan FAILED: max deviation {report.max_deviation:.3e}"
                   f" > tol {report.tol:.1e}; per-lambda etas "
@@ -194,13 +182,9 @@ def cmd_negativity(args, parser) -> int:
         records = negativity_table(args.n_max, args.lam, "radial")
     else:
         records = negativity_table(args.n_max, args.lam, "grid", tol=args.tol)
-    try:
-        _write_text(args.out, records_to_json(
-            records, {"model": "damped", "lambda": args.lam,
-                      "method": args.method}))
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, records_to_json(
+        records, {"model": "damped", "lambda": args.lam,
+                  "method": args.method}))
     if args.check_table1:
         bad = []
         for rec in records:
@@ -287,6 +271,9 @@ def main(argv=None) -> int:
         # configuration-class failures (bad box, non-normalizable input, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -40,21 +40,15 @@ from .symbols import PolynomialSymbol
 
 def laguerre(n: int, y):
     """Laguerre polynomial L_n(y) by the stable three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    prev = np.ones_like(y)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 - y
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - y) * cur - k * prev) / (k + 1)
+    cur = laguerre_pair(n, y)[0]
     return cur if cur.ndim else float(cur)
 
 
 def laguerre_pair(n: int, y):
     """(L_n(y), L_{n-1}(y)); the pair gives the derivative via
     y L_n'(y) = n (L_n(y) - L_{n-1}(y))."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     y = np.asarray(y, dtype=float)
     prev = np.ones_like(y)
     cur = 1.0 - y

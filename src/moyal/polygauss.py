@@ -16,9 +16,11 @@ raw monomials.
 
 The class is closed under differentiation, multiplication by polynomials,
 star products, full-plane integration and marginals, which is what makes
-every model in this package exactly computable.  Operations between two
-different frames, and marginals, first expand to the identity frame
-(``PolyGauss.lab``).
+every model in this package exactly computable.  Integrals, marginals and
+star products all take the mean of a polynomial under a Gaussian, through
+one kernel (``moyal.symbols._smooth`` and ``_substitute``), and all run in
+the frame; only operations between two different frames first expand to
+the identity frame (``PolyGauss.lab``).
 
 A function is normalizable when Re(A) is positive definite; integration
 requires that.  All values are immutable after construction and every
@@ -32,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonNormalizableError, ParameterMismatchError
-from .symbols import PolynomialSymbol, convolve_coeffs, prune_coeffs
+from .symbols import (PolynomialSymbol, _dense, _smooth, _sparse, _substitute,
+                      convolve_coeffs, prune_coeffs)
 
 
 @dataclass(frozen=True)
@@ -316,21 +319,13 @@ class PolyGauss1D:
             raise NonNormalizableError("1D Gaussian part does not decay")
         base = np.sqrt(np.pi / self.a2) * np.exp(
             self.a1 * self.a1 / (4.0 * self.a2) - self.a0)
-        moments = _hermite_scalar_1d(max(self.coeffs, default=0),
-                                     -self.a1 / (2.0 * self.a2),
-                                     1.0 / (2.0 * self.a2))
-        return base * sum(c * moments[a] for a, c in self.coeffs.items())
+        # the mean of the polynomial under N(-a1 / (2 a2), 1 / (2 a2))
+        C = _smooth(_dense(self.coeffs, 1), [[0.5 / self.a2]])
+        mean = _substitute(C, np.zeros((1, 0)), [-self.a1 / (2.0 * self.a2)])
+        return base * complex(mean)
 
     def __repr__(self):
         return f"PolyGauss1D(var={self.var!r}, degree={self.degree})"
-
-
-def _hermite_scalar_1d(nmax: int, L: complex, K: complex):
-    """H_n = d^n/dJ^n exp(L J + K J^2 / 2) at J=0, via the usual recursion."""
-    H = [1.0 + 0.0j, L]
-    for n in range(1, nmax + 1):
-        H.append(L * H[n] + n * K * H[n - 1])
-    return H[: nmax + 1]
 
 
 def _sqrt_det_principal(M: np.ndarray) -> complex:
@@ -351,9 +346,8 @@ def integrate(f: PolyGauss) -> complex:
     """Exact full-plane integral of a normalizable polynomial-Gaussian.
 
     The Gaussian base integral is pi/sqrt(det A) times the completed-square
-    exponential; polynomial prefactors are generated by differentiating a
-    source term, which yields a two-variable Hermite recursion with constant
-    first-order data.  The frame does not enter, because det S = 1.
+    exponential; the polynomial contributes its mean under the normalized
+    Gaussian.  The frame does not enter, because det S = 1.
     """
     if not f.shape.is_normalizable():
         raise NonNormalizableError("Re(A) is not positive definite")
@@ -362,35 +356,20 @@ def integrate(f: PolyGauss) -> complex:
     A, l, k = f.shape.A, f.shape.l, f.shape.k
     Ainv = np.linalg.inv(A)
     base = np.pi / _sqrt_det_principal(A) * np.exp(0.25 * l @ Ainv @ l - k)
-    # moments of q^a p^b under the shifted Gaussian:
-    # d^a/dJq d^b/dJp exp((l-J)^T Ainv (l-J)/4) at J=0
-    L = -0.5 * Ainv @ l
-    K = 0.5 * Ainv
-    amax = max(a for a, _ in f.terms)
-    bmax = max(b for _, b in f.terms)
-    H = np.zeros((amax + 1, bmax + 1), dtype=complex)
-    H[0, 0] = 1.0
-    for b in range(1, bmax + 1):
-        H[0, b] = L[1] * H[0, b - 1]
-        if b >= 2:
-            H[0, b] += (b - 1) * K[1, 1] * H[0, b - 2]
-    for a in range(1, amax + 1):
-        for b in range(bmax + 1):
-            val = L[0] * H[a - 1, b]
-            if a >= 2:
-                val += (a - 1) * K[0, 0] * H[a - 2, b]
-            if b >= 1:
-                val += b * K[0, 1] * H[a - 1, b - 1]
-            H[a, b] = val
-    return complex(base * sum(c * H[a, b] for (a, b), c in f.terms.items()))
+    # the mean of the polynomial under N(-A^-1 l / 2, A^-1 / 2)
+    C = _smooth(_dense(f.terms, 2), 0.5 * Ainv)
+    mean = _substitute(C, np.zeros((2, 0)), -0.5 * Ainv @ l)
+    return complex(base * mean)
 
 
 def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
     """Integrate out one variable exactly; axis names the variable removed.
 
     marginal(f, 'p') returns a function of q.  Requires the integrated
-    direction to decay (positive real part of the diagonal A entry).  A
-    function in a frame is expanded to the identity frame first.
+    direction to decay (positive real part of the diagonal A entry).  Runs
+    in the frame, without expanding the polynomial: the removed variable t
+    moves w = S x along the column s of S, so the polynomial part is the
+    mean of P(w) over a Gaussian of covariance s s^T / (2 alpha).
     """
     if axis == "p":
         keep, drop = 0, 1
@@ -398,38 +377,24 @@ def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
         keep, drop = 1, 0
     else:
         raise ValueError("axis must be 'q' or 'p'")
-    f = f.lab()
-    A, l, k = f.shape.A, f.shape.l, f.shape.k
+    S = np.eye(2) if f.frame is None else f.frame
+    A = S.T @ f.shape.A @ S
+    l, k = S.T @ f.shape.l, f.shape.k
     alpha = A[drop, drop]
     if alpha.real <= 0.0:
         raise NonNormalizableError("integrated axis does not decay")
     cross = 2.0 * A[keep, drop]      # coefficient of x_keep in beta(x)
     beta0 = l[drop]
-    # int x_drop^b exp(-alpha t^2 - (beta - J) t) dt
-    #   = sqrt(pi/alpha) exp((beta - J)^2 / (4 alpha)),   beta = cross*x + beta0
-    # Derivatives in J give a 1-variable Hermite recursion whose first-order
-    # data L(x) = -(cross*x + beta0)/(2 alpha) is affine in the kept variable.
-    bmax = max((idx[drop] for idx in f.terms), default=0)
-    Kc = 0.5 / alpha
-    # H_b as polynomials in x (coefficient arrays, ascending powers)
-    H: list[np.ndarray] = [np.array([1.0 + 0.0j])]
-    Lpoly = np.array([-beta0 / (2.0 * alpha), -cross / (2.0 * alpha)])
-    for b in range(1, bmax + 1):
-        prev = H[b - 1]
-        cur = np.zeros(len(prev) + 1, dtype=complex)
-        cur[: len(prev)] += Lpoly[0] * prev
-        cur[1: len(prev) + 1] += Lpoly[1] * prev
-        if b >= 2:
-            cur[: len(H[b - 2])] += (b - 1) * Kc * H[b - 2]
-        H.append(cur)
-    coeffs: dict[int, complex] = {}
-    for idx, c in f.terms.items():
-        a = idx[keep]
-        hb = H[idx[drop]]
-        for j, hc in enumerate(hb):
-            coeffs[a + j] = coeffs.get(a + j, 0.0) + c * hc
+    # int P(w) exp(-alpha t^2 - beta t) dt, beta = cross*x + beta0, is
+    # sqrt(pi/alpha) exp(beta^2 / (4 alpha)) times the mean of P(w) for
+    # t ~ N(-beta / (2 alpha), 1 / (2 alpha)), where w = S[:, keep] x + s t
+    s = S[:, drop]
+    K = np.outer(s, s) / (2.0 * alpha)
+    W = S[:, [keep]] - np.outer(s, cross / (2.0 * alpha))
+    w0 = -s * beta0 / (2.0 * alpha)
+    C = _substitute(_smooth(_dense(f.terms, 2), K), W, w0)
     pref = np.sqrt(np.pi / alpha)
-    coeffs = {a: pref * c for a, c in coeffs.items()}
+    coeffs = {a: pref * c for (a,), c in _sparse(C).items()}
     # remaining exponent: -(A_kk x^2 + l_k x + k) + (cross*x + beta0)^2/(4 alpha)
     a2 = A[keep, keep] - cross * cross / (4.0 * alpha)
     a1 = l[keep] - 2.0 * cross * beta0 / (4.0 * alpha)

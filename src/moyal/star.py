@@ -16,15 +16,18 @@ again a Gaussian.  det^(-1/2) uses principal square roots of the
 eigenvalues of M, the continuous branch for Re(M) >= 0; this covers the
 Fresnel limit where one factor is a plain polynomial (A or B = 0).
 
-Polynomial prefactors are reinstated by source differentiation: extend each
-exponent with a linear source (l -> l - s), star the pure Gaussians, then
-differentiate the closed form with respect to the four source components.
-Those derivatives satisfy a four-variable Hermite-style recursion
+Polynomial prefactors ride on the same integral.  The product of the two
+polynomials, P(y, z), is a polynomial in four variables, and the integrand
+is P(x + u, x + v) times that Gaussian in w = (u, v).  After normalization
+the polynomial part is therefore the mean of P over a Gaussian of
+covariance K = M^-1 centred at the affine point L(x) = W x + w0:
 
-    H_{alpha+e_i} = L_i(x) H_alpha + sum_j alpha_j K_{ij} H_{alpha-e_j}
+    E[P] = [exp(d^T K d / 2) P](L(x)).
 
-with K = M^-1 constant and L_i(x) affine in x, evaluated here by dynamic
-programming over dense coefficient arrays.
+So the coefficients come from one heat-operator smoothing of the outer
+product of the two coefficient arrays followed by one affine substitution
+(``moyal.symbols._smooth`` and ``_substitute``), the same kernel that
+integrals and marginals use.
 
 Operands in the same frame S (see ``moyal.polygauss``) are starred in that
 frame and the result keeps it, since (F o S) * (G o S) = (F * G) o S for a
@@ -38,6 +41,7 @@ import numpy as np
 
 from .errors import StarSingularError
 from .polygauss import PolyGauss, QuadForm
+from .symbols import _dense, _smooth, _sparse, _substitute
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _S = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
@@ -70,101 +74,15 @@ def _star_system(shape1: QuadForm, shape2: QuadForm, hbar: float):
     return prefactor, out_shape, W, w0, Minv
 
 
-def gaussian_star(g1: PolyGauss, g2: PolyGauss) -> PolyGauss:
-    """Star product of two pure Gaussians (degree-0 polynomial parts)."""
-    g1._check_compatible(g2)
-    if g1.degree > 0 or g2.degree > 0:
-        raise ValueError("gaussian_star requires degree-0 operands")
-    g1, g2 = g1._in_common_frame(g2)
-    pref, shape, _, _, _ = _star_system(g1.shape, g2.shape, g1.hbar)
-    c1 = g1.terms.get((0, 0), 0.0)
-    c2 = g2.terms.get((0, 0), 0.0)
-    return PolyGauss({(0, 0): pref * c1 * c2}, shape, g1.hbar, g1.frame)
-
-
-def _affine_mul(arr: np.ndarray, c0: complex, cq: complex, cp: complex) -> np.ndarray:
-    """(c0 + cq*q + cp*p) times a dense coefficient array."""
-    nq, npw = arr.shape
-    out = np.zeros((nq + 1, npw + 1), dtype=complex)
-    out[:nq, :npw] += c0 * arr
-    out[1:, :npw] += cq * arr
-    out[:nq, 1:] += cp * arr
-    return out
-
-
-def _add_scaled(dst: np.ndarray, src: np.ndarray, fac: complex):
-    dst[: src.shape[0], : src.shape[1]] += fac * src
-
-
 def polygauss_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     """Exact star product of two polynomial-Gaussians.
 
-    Implements the source-differentiation scheme described in the module
-    docstring; the result polynomial degree is at most deg(f) + deg(g).
+    Smoothing plus substitution as described in the module docstring; the
+    result polynomial degree is at most deg(f) + deg(g).
     """
     f._check_compatible(g)
     f, g = f._in_common_frame(g)
-    if not f.terms or not g.terms:
-        pref, shape, _, _, _ = _star_system(f.shape, g.shape, f.hbar)
-        return PolyGauss({}, shape, f.hbar, f.frame)
     pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
-    amax = max(a for a, _ in f.terms)
-    bmax = max(b for _, b in f.terms)
-    cmax = max(a for a, _ in g.terms)
-    dmax = max(b for _, b in g.terms)
-    degtot = amax + bmax + cmax + dmax
-    total = np.zeros((degtot + 1, degtot + 1), dtype=complex)
-
-    # H_alpha over alpha = (a, b, c, d); layered over a so only the previous
-    # layer (plus one corner of the layer before it) stays in memory.
-    prev: dict = {}
-    prev_corner = None
-    for a in range(amax + 1):
-        cur: dict = {}
-        for b in range(bmax + 1):
-            for c in range(cmax + 1):
-                for d in range(dmax + 1):
-                    if d > 0:
-                        H = _affine_mul(cur[(b, c, d - 1)], w0[3], W[3, 0], W[3, 1])
-                        if d >= 2:
-                            _add_scaled(H, cur[(b, c, d - 2)], (d - 1) * K[3, 3])
-                        if c >= 1:
-                            _add_scaled(H, cur[(b, c - 1, d - 1)], c * K[3, 2])
-                        if b >= 1:
-                            _add_scaled(H, cur[(b - 1, c, d - 1)], b * K[3, 1])
-                        if a >= 1:
-                            _add_scaled(H, prev[(b, c, d - 1)], a * K[3, 0])
-                    elif c > 0:
-                        H = _affine_mul(cur[(b, c - 1, 0)], w0[2], W[2, 0], W[2, 1])
-                        if c >= 2:
-                            _add_scaled(H, cur[(b, c - 2, 0)], (c - 1) * K[2, 2])
-                        if b >= 1:
-                            _add_scaled(H, cur[(b - 1, c - 1, 0)], b * K[2, 1])
-                        if a >= 1:
-                            _add_scaled(H, prev[(b, c - 1, 0)], a * K[2, 0])
-                    elif b > 0:
-                        H = _affine_mul(cur[(b - 1, 0, 0)], w0[1], W[1, 0], W[1, 1])
-                        if b >= 2:
-                            _add_scaled(H, cur[(b - 2, 0, 0)], (b - 1) * K[1, 1])
-                        if a >= 1:
-                            _add_scaled(H, prev[(b - 1, 0, 0)], a * K[1, 0])
-                    elif a > 0:
-                        H = _affine_mul(prev[(0, 0, 0)], w0[0], W[0, 0], W[0, 1])
-                        if a >= 2:
-                            _add_scaled(H, prev_corner, (a - 1) * K[0, 0])
-                    else:
-                        H = np.ones((1, 1), dtype=complex)
-                    cur[(b, c, d)] = H
-        for (av, bv), cf in f.terms.items():
-            if av != a:
-                continue
-            for (cv, dv), cg in g.terms.items():
-                _add_scaled(total, cur[(bv, cv, dv)], cf * cg)
-        prev_corner = prev.get((0, 0, 0))
-        prev = cur
-
-    terms = {}
-    nz = np.argwhere(total != 0.0)
-    for i, j in nz:
-        terms[(int(i), int(j))] = pref * total[i, j]
-    return PolyGauss(terms, shape, f.hbar, f.frame)
+    P = np.multiply.outer(_dense(f.terms, 2), _dense(g.terms, 2))
+    R = _substitute(_smooth(P, K), W, w0)
+    return PolyGauss(_sparse(pref * R), shape, f.hbar, f.frame)

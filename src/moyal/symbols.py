@@ -10,6 +10,8 @@ Instances are treated as immutable; every operation returns a new object.
 
 from __future__ import annotations
 
+from math import factorial, perm
+
 import numpy as np
 
 PRUNE_REL_TOL = 1e-14
@@ -35,6 +37,89 @@ def convolve_coeffs(c1: dict, c2: dict) -> dict:
             key = (a1 + a2, b1 + b2)
             out[key] = out.get(key, 0.0) + x1 * x2
     return out
+
+
+# ---- dense kernel: Gaussian expectations of polynomials --------------------
+#
+# A coefficient array C has one axis per variable, C[alpha] multiplying
+# y^alpha.  sum_alpha C_alpha d_J^alpha exp(L.J + J^T K J / 2) at J = 0 is the
+# mean of P(y) under a Gaussian of mean L and covariance K, which equals
+# [exp(d^T K d / 2) P](L): smooth, then substitute the mean.
+
+
+def _dense(coeffs: dict, ndim: int) -> np.ndarray:
+    """Coefficient dict (keys: exponent tuples, or ints when ndim is 1) as a
+    dense complex array with ndim axes."""
+    if not coeffs:
+        return np.zeros((1,) * ndim, dtype=complex)
+    keys = np.array(list(coeffs), dtype=int).reshape(len(coeffs), ndim)
+    C = np.zeros(tuple(keys.max(axis=0) + 1), dtype=complex)
+    C[tuple(keys.T)] = list(coeffs.values())
+    return C
+
+
+def _sparse(C: np.ndarray) -> dict:
+    """The nonzero entries of a coefficient array, keyed by exponent tuples."""
+    return {tuple(int(i) for i in idx): C[tuple(idx)] for idx in np.argwhere(C != 0)}
+
+
+def _falling(n: int, s: int, trailing: int) -> np.ndarray:
+    """a! / (a - s)! for a = s .. n-1, shaped to broadcast along an axis that
+    has `trailing` axes after it."""
+    return np.array([perm(a, s) for a in range(s, n)], dtype=float).reshape(
+        (-1,) + (1,) * trailing)
+
+
+def _smooth(C: np.ndarray, K) -> np.ndarray:
+    """The heat operator exp(d^T K d / 2) on a coefficient array, K symmetric.
+
+    The operator is the product of the commuting factors exp(c d_i d_j) with
+    c = K_ii / 2 (i = j) or K_ij (i < j).  Term m of a factor's Taylor series
+    lowers exponent i and exponent j by m each and weighs a coefficient by
+    c^m / m! times the falling factorials of its exponents.
+    """
+    out = np.array(C, dtype=complex)
+    d = out.ndim
+    for i in range(d):
+        for j in range(i, d):
+            c = 0.5 * K[i][i] if i == j else K[i][j]
+            if c == 0.0:
+                continue
+            src, m = out.copy(), 1
+            while True:
+                shift = [m * ((k == i) + (k == j)) for k in range(d)]
+                if any(s >= n for s, n in zip(shift, out.shape)):
+                    break
+                w = c ** m / factorial(m)
+                for k in {i, j}:
+                    w = w * _falling(out.shape[k], shift[k], d - k - 1)
+                out[tuple(slice(0, n - s) for s, n in zip(shift, out.shape))] += (
+                    src[tuple(slice(s, None) for s in shift)] * w)
+                m += 1
+    return out
+
+
+def _substitute(C: np.ndarray, W, w0) -> np.ndarray:
+    """Coefficients of x -> P(W x + w0), for P with coefficient array C of
+    d axes and W a d x m matrix: an array with m axes (0-d for m = 0, the
+    value P(w0)).  Horner along each input axis in turn."""
+    W = np.asarray(W)
+    m = W.shape[1]
+    T = np.asarray(C, dtype=complex).reshape((1,) * m + C.shape)
+    for i in range(C.ndim):
+        head = tuple(slice(0, s) for s in T.shape[:m])
+        U = T[head + (-1,)]
+        for k in range(T.shape[m] - 2, -1, -1):
+            inner = tuple(slice(0, s) for s in U.shape[:m])
+            grown = np.zeros(tuple(s + 1 for s in U.shape[:m]) + U.shape[m:],
+                             dtype=complex)
+            grown[inner] += w0[i] * U
+            for j in range(m):
+                grown[inner[:j] + (slice(1, None),) + inner[j + 1:]] += W[i, j] * U
+            grown[head] += T[head + (k,)]
+            U = grown
+        T = U
+    return T
 
 
 class PolynomialSymbol:
@@ -107,21 +192,8 @@ class PolynomialSymbol:
     def linear_map(self, M) -> "PolynomialSymbol":
         """The composition s o M, i.e. the polynomial x -> s(M x), for a
         2x2 matrix M."""
-        M = np.asarray(M)
-        amax = max((a for a, _ in self.coeffs), default=0)
-        bmax = max((b for _, b in self.coeffs), default=0)
-        powers = []
-        for row, top in ((M[0], amax), (M[1], bmax)):
-            form = {(1, 0): row[0], (0, 1): row[1]}
-            pw = [{(0, 0): 1.0}]
-            for _ in range(top):
-                pw.append(convolve_coeffs(pw[-1], form))
-            powers.append(pw)
-        out = {}
-        for (a, b), c in self.coeffs.items():
-            for key, x in convolve_coeffs(powers[0][a], powers[1][b]).items():
-                out[key] = out.get(key, 0.0) + c * x
-        return PolynomialSymbol(out)
+        C = _substitute(_dense(self.coeffs, 2), M, np.zeros(2))
+        return PolynomialSymbol(_sparse(C))
 
     def evaluate(self, q, p):
         """Evaluate at scalar or array arguments (numpy broadcasting)."""

@@ -98,7 +98,7 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
 
     # purity W * W = W / (2 pi hbar), closed form
     states = [harmonic_wigner(n) for n in range(4)]
-    states += [wigner_n(DampedParams(0.5, n)) for n in range(4)]
+    states += [wigner_n(DampedParams(lam, n)) for lam in (0.5, 0.9) for n in range(4)]
     hel = helium_ground(HeliumParams(xi=0.1))
     states += list(helium_wigner(hel))
     worst = 0.0

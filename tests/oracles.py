@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 Everything here deliberately avoids the package's closed-form code paths:
-scipy quadrature, series summation, an interlacing-bracket root walk, and
-an exact piecewise antiderivative for the negativity integral.
+scipy quadrature, series summation, an interlacing-bracket root walk, an
+exact piecewise antiderivative for the negativity integral, and a star
+product by the source-differentiation recursion.
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ from scipy.integrate import dblquad
 
 from moyal.errors import ConvergenceError
 from moyal.models import laguerre_pair
+from moyal.polygauss import PolyGauss
+from moyal.star import _star_system
 
 
 def quad2d(f, half: float, epsabs: float = 1e-11) -> float:
@@ -95,3 +98,97 @@ def eta_exact(n: int) -> float:
     for j, y in enumerate(laguerre_roots_bracketed(n), start=1):
         total += 4.0 * (-1.0) ** j * np.exp(-0.5 * y) * G(y)
     return 0.5 * total - 1.0
+
+
+def _affine_mul(arr: np.ndarray, c0: complex, cq: complex, cp: complex) -> np.ndarray:
+    """(c0 + cq*q + cp*p) times a dense coefficient array."""
+    nq, npw = arr.shape
+    out = np.zeros((nq + 1, npw + 1), dtype=complex)
+    out[:nq, :npw] += c0 * arr
+    out[1:, :npw] += cq * arr
+    out[:nq, 1:] += cp * arr
+    return out
+
+
+def _add_scaled(dst: np.ndarray, src: np.ndarray, fac: complex):
+    dst[: src.shape[0], : src.shape[1]] += fac * src
+
+
+def polygauss_star_recursive(f: PolyGauss, g: PolyGauss) -> PolyGauss:
+    """Star product by source differentiation, a four-variable recursion.
+
+    Extending each exponent with a linear source and differentiating the
+    starred Gaussians with respect to the four source components gives
+
+        H_{alpha+e_i} = L_i(x) H_alpha + sum_j alpha_j K_ij H_{alpha-e_j}
+
+    with K = M^-1 and L_i(x) affine in x, evaluated here by dynamic
+    programming over dense coefficient arrays.  It shares only the Gaussian
+    system (``_star_system``) with ``moyal.polygauss_star``.
+    """
+    f._check_compatible(g)
+    f, g = f._in_common_frame(g)
+    if not f.terms or not g.terms:
+        pref, shape, _, _, _ = _star_system(f.shape, g.shape, f.hbar)
+        return PolyGauss({}, shape, f.hbar, f.frame)
+    pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
+    amax = max(a for a, _ in f.terms)
+    bmax = max(b for _, b in f.terms)
+    cmax = max(a for a, _ in g.terms)
+    dmax = max(b for _, b in g.terms)
+    degtot = amax + bmax + cmax + dmax
+    total = np.zeros((degtot + 1, degtot + 1), dtype=complex)
+
+    # H_alpha over alpha = (a, b, c, d); layered over a so only the previous
+    # layer (plus one corner of the layer before it) stays in memory.
+    prev: dict = {}
+    prev_corner = None
+    for a in range(amax + 1):
+        cur: dict = {}
+        for b in range(bmax + 1):
+            for c in range(cmax + 1):
+                for d in range(dmax + 1):
+                    if d > 0:
+                        H = _affine_mul(cur[(b, c, d - 1)], w0[3], W[3, 0], W[3, 1])
+                        if d >= 2:
+                            _add_scaled(H, cur[(b, c, d - 2)], (d - 1) * K[3, 3])
+                        if c >= 1:
+                            _add_scaled(H, cur[(b, c - 1, d - 1)], c * K[3, 2])
+                        if b >= 1:
+                            _add_scaled(H, cur[(b - 1, c, d - 1)], b * K[3, 1])
+                        if a >= 1:
+                            _add_scaled(H, prev[(b, c, d - 1)], a * K[3, 0])
+                    elif c > 0:
+                        H = _affine_mul(cur[(b, c - 1, 0)], w0[2], W[2, 0], W[2, 1])
+                        if c >= 2:
+                            _add_scaled(H, cur[(b, c - 2, 0)], (c - 1) * K[2, 2])
+                        if b >= 1:
+                            _add_scaled(H, cur[(b - 1, c - 1, 0)], b * K[2, 1])
+                        if a >= 1:
+                            _add_scaled(H, prev[(b, c - 1, 0)], a * K[2, 0])
+                    elif b > 0:
+                        H = _affine_mul(cur[(b - 1, 0, 0)], w0[1], W[1, 0], W[1, 1])
+                        if b >= 2:
+                            _add_scaled(H, cur[(b - 2, 0, 0)], (b - 1) * K[1, 1])
+                        if a >= 1:
+                            _add_scaled(H, prev[(b - 1, 0, 0)], a * K[1, 0])
+                    elif a > 0:
+                        H = _affine_mul(prev[(0, 0, 0)], w0[0], W[0, 0], W[0, 1])
+                        if a >= 2:
+                            _add_scaled(H, prev_corner, (a - 1) * K[0, 0])
+                    else:
+                        H = np.ones((1, 1), dtype=complex)
+                    cur[(b, c, d)] = H
+        for (av, bv), cf in f.terms.items():
+            if av != a:
+                continue
+            for (cv, dv), cg in g.terms.items():
+                _add_scaled(total, cur[(bv, cv, dv)], cf * cg)
+        prev_corner = prev.get((0, 0, 0))
+        prev = cur
+
+    terms = {}
+    nz = np.argwhere(total != 0.0)
+    for i, j in nz:
+        terms[(int(i), int(j))] = pref * total[i, j]
+    return PolyGauss(terms, shape, f.hbar, f.frame)

@@ -4,7 +4,7 @@ import pytest
 from moyal import (NonNormalizableError, ParameterMismatchError, PolyGauss,
                    QuadForm, integrate, marginal)
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
-                          hermite_function)
+                          damped_wigner_values, hermite_function)
 from moyal.symbols import PolynomialSymbol
 
 from oracles import quad2d
@@ -195,6 +195,16 @@ def test_framed_scale_conjugate_keep_frame_and_integrate():
     assert integrate(W).real == pytest.approx(integrate(W.lab()).real, abs=1e-12)
 
 
-def test_marginal_of_framed_damped_state():
-    m = marginal(damped_wigner(DampedParams(0.5, 2)), "p")
+@pytest.mark.parametrize("lam, n", [(0.5, 2), (0.9, 5), (0.9, 8)])
+def test_marginal_of_framed_damped_state(lam, n):
+    dp = DampedParams(lam, n)
+    m = marginal(damped_wigner(dp), "p")
     assert m.integrate().real == pytest.approx(1.0, abs=1e-12)
+    # 400-node Gauss-Legendre over p in [-40, 40] of the Laguerre-recurrence values
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    qs = np.linspace(-6.0, 6.0, 41)
+    want = [40.0 * weights @ damped_wigner_values(dp, q, 40.0 * nodes) for q in qs]
+    assert _rel_dev(m.evaluate(qs).real, np.array(want)) <= 1e-6
+    # z(q, p) is symmetric in q and p, so both marginals are one function
+    assert _rel_dev(marginal(damped_wigner(dp), "q").evaluate(qs),
+                    m.evaluate(qs)) <= 1e-12

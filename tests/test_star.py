@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from moyal import (PolyGauss, QuadForm, StarSingularError, gaussian_star,
-                   integrate, polygauss_star)
+from moyal import PolyGauss, QuadForm, StarSingularError, integrate, polygauss_star
 from moyal.grid import GridSpec, grid_distance, sample, star_numeric
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
                           harmonic_wigner, oscillator_state)
+
+from oracles import polygauss_star_recursive
 
 STD = QuadForm(np.eye(2))
 
@@ -22,7 +23,7 @@ def random_polygauss(rng, degree=2):
 
 def test_gaussian_star_identity_pair():
     g = PolyGauss.gaussian(STD, 1.0)
-    out = gaussian_star(g, g)
+    out = polygauss_star(g, g)
     assert out.terms[(0, 0)] == pytest.approx(0.5, abs=1e-14)
     assert out.shape.allclose(STD, tol=1e-13)
 
@@ -31,14 +32,14 @@ def test_gaussian_star_unit():
     g = PolyGauss.gaussian(QuadForm.from_coeffs(0.7, 0.1, 1.2, 0.2, -0.1, 0.3), 1.0,
                            coeff=2.0 - 1.0j)
     one = PolyGauss.gaussian(QuadForm.zero(), 1.0)
-    out = gaussian_star(g, one)
+    out = polygauss_star(g, one)
     qs = np.linspace(-2, 2, 9)
     assert np.abs(out.evaluate(qs, qs) - g.evaluate(qs, qs)).max() < 1e-13
 
 
 def test_gaussian_star_squeezed_against_grid():
     g = PolyGauss.gaussian(QuadForm.from_coeffs(2.0, 0.0, 0.5), 1.0)
-    exact = gaussian_star(g, g)
+    exact = polygauss_star(g, g)
     spec = GridSpec(-8.0, 8.0, -8.0, 8.0, 128, 128)
     num = star_numeric(sample(g, spec), sample(g, spec), method="direct")
     ref = sample(exact, spec)
@@ -48,18 +49,12 @@ def test_gaussian_star_squeezed_against_grid():
     assert dev < 1e-8
 
 
-def test_gaussian_star_requires_degree_zero():
-    f = PolyGauss({(1, 0): 1.0}, STD, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_star(f, f)
-
-
 def test_gaussian_star_singular_system():
     # pure imaginary quadratic forms sit on the Fresnel boundary; this pair
     # makes the source system singular
     chirp = PolyGauss.gaussian(QuadForm(1j * np.eye(2)), 1.0)
     with pytest.raises(StarSingularError):
-        gaussian_star(chirp, chirp)
+        polygauss_star(chirp, chirp)
 
 
 def test_polygauss_star_ground_state_projector():
@@ -134,7 +129,7 @@ def test_star_numeric_cross_check_high_degree(rng, degree):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(8))
 def test_damped_purity_and_trace(lam, n):
     # W * W = W / (2 pi) and 2 pi int W * W = 1 for every pure state
     W = damped_wigner(DampedParams(lam, n))
@@ -145,9 +140,6 @@ def test_damped_purity_and_trace(lam, n):
     ref = W.evaluate(Q, P) / (2.0 * np.pi)
     assert np.abs(WW.evaluate(Q, P) - ref).max() / np.abs(ref).max() <= 1e-9
     assert abs(2.0 * np.pi * integrate(WW) - 1.0) <= 1e-9
-    if n == 0:
-        WW0 = gaussian_star(W, W)
-        assert np.abs(WW0.evaluate(Q, P) - ref).max() / np.abs(ref).max() <= 1e-12
 
 
 def test_mixed_frame_star_against_grid():
@@ -161,3 +153,29 @@ def test_mixed_frame_star_against_grid():
     num = star_numeric(sample(f, spec), sample(g, spec), method="fft")
     sup, l2 = grid_distance(sample(exact, spec), num)
     assert sup <= 1e-6 and l2 <= 1e-6
+
+
+def _coefficient_gap(got, want):
+    keys = set(got.terms) | set(want.terms)
+    gap = max(abs(got.terms.get(k, 0.0) - want.terms.get(k, 0.0)) for k in keys)
+    return gap / max(abs(c) for c in want.terms.values())
+
+
+def _star_cases():
+    rng = np.random.RandomState(7)
+    for d in range(7):
+        yield pytest.param(random_polygauss(rng, d), random_polygauss(rng, d),
+                           id=f"random-{d}")
+    for lam in (0.0, 0.9):
+        for n in range(6):
+            W = damped_wigner(DampedParams(lam, n))
+            yield pytest.param(W, W, id=f"damped-{lam}-{n}")
+    yield pytest.param(damped_wigner(DampedParams(0.5, 3)), harmonic_wigner(1),
+                       id="mixed-frame")
+
+
+@pytest.mark.parametrize("f, g", _star_cases())
+def test_star_matches_source_recursion(f, g):
+    got, want = polygauss_star(f, g), polygauss_star_recursive(f, g)
+    assert got.shape.allclose(want.shape, tol=0.0)
+    assert _coefficient_gap(got, want) <= 1e-12

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from moyal.models import DampedParams, damped_wigner
 from moyal.symbols import PolynomialSymbol, p_symbol, q_symbol
 
 
@@ -37,6 +38,19 @@ def test_evaluate_matches_direct():
     ps = np.array([1.0, 3.0, 0.5])
     expect = qs ** 2 - 0.5j * qs * ps + 2.0
     assert np.allclose(s.evaluate(qs, ps), expect, atol=1e-15)
+
+
+@pytest.mark.parametrize("M", [damped_wigner(DampedParams(0.9, 0)).frame,
+                               np.array([[1.0, 0.7], [-0.3, 1.2]])],
+                         ids=["squeeze-0.9", "nonsymmetric"])
+def test_linear_map_is_composition(M):
+    rng = np.random.RandomState(11)
+    s = PolynomialSymbol({(a, b): complex(*rng.uniform(-1, 1, 2))
+                          for a in range(7) for b in range(7 - a)})
+    x = rng.uniform(-3, 3, (2, 50))
+    want = s.evaluate(*(M @ x))
+    got = s.linear_map(M).evaluate(*x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_conjugate_and_reality():
