@@ -22,7 +22,8 @@ from .grid import GridField, GridSpec
 from .models import (DampedParams, HeliumParams, damped_energy,
                      damped_wigner_values, harmonic_wigner_values,
                      helium_energy, helium_energy_first_order)
-from .negativity import ETA_REFERENCE, lambda_scan, negativity_table
+from .negativity import (ETA_REFERENCE, damped_box, lambda_scan,
+                         negativity_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,10 +99,15 @@ def cmd_wigner(args, parser) -> int:
     Q, P = spec.meshgrid()
     common = {"model": args.model, "normalization": "unit-integral"}
     if args.model == "damped":
-        dp = DampedParams(args.lam, args.n)
-        vals = damped_wigner_values(dp, Q, P)
-        field = GridField(spec, vals, 1.0)
-        write_grid_csv(field, args.out,
+        warnings = ()
+        r = damped_box(args.n, args.lam)[1]
+        if min(-spec.qmin, spec.qmax, -spec.pmin, spec.pmax) < r:
+            warnings = (f"the box cuts the state off; damped_box spans "
+                        f"|q| and |p| up to {r:.3g}",)
+            print(f"note: {warnings[0]}", file=sys.stderr)
+            del common["normalization"]
+        vals = damped_wigner_values(DampedParams(args.lam, args.n), Q, P)
+        write_grid_csv(GridField(spec, vals, 1.0, warnings), args.out,
                        {**common, "n": args.n, "lambda": args.lam})
     elif args.model == "harmonic":
         vals = harmonic_wigner_values(args.n, Q, P, args.mass, args.omega,

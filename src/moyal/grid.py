@@ -7,9 +7,10 @@ product is evaluated as a discrete twisted convolution in Fourier space,
                     exp(-i hbar sigma(xi, kappa) / 2) dxi,
 
 with sigma(xi, kappa) = xi_q kappa_p - xi_p kappa_q, followed by an inverse
-transform.  The direct quadratic-cost summation over Fourier mode pairs is
-the authoritative baseline; an FFT-accelerated path computes the identical
-sum via circular convolutions and is gated on agreement with the baseline.
+transform.  The direct baseline is the quadratic-cost sum over Fourier mode
+pairs, grouped by row offset into GEMMs; an FFT-accelerated path computes
+the identical sum via circular convolutions and is gated on agreement with
+the baseline.
 
 Also provides the Wigner transform of a 1D wavefunction,
 
@@ -150,9 +151,10 @@ def _forward(field: GridField):
 def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridField:
     """Discrete twisted-convolution star product of two fields.
 
-    method='direct' performs the plain double sum over Fourier-mode pairs
-    (quadratic cost, deterministic summation order); method='fft' evaluates
-    the same sum through per-row circular convolutions.
+    method='direct' is the quadratic-cost sum over Fourier-mode pairs,
+    grouped by row offset a' = c - a into one matrix product per offset
+    (deterministic summation order); method='fft' evaluates the same sum
+    through circular convolutions, one batch of rows per output row c.
     """
     if A.spec != B.spec:
         raise GridMismatchError("star_numeric requires identical grid specs")
@@ -173,23 +175,25 @@ def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridFiel
     # twist split: exp(-i h sigma(xi,kappa)/2) = P1[a,d] * P2[b,c]
     P1 = np.exp(-0.5j * hbar * np.outer(xiq, xip))   # (a, d)
     P2 = np.exp(+0.5j * hbar * np.outer(xip, xiq))   # (b, c)
-    S = np.empty((nq, npts), dtype=complex)
-    rows_base = np.arange(nq)
     if method == "direct":
-        d_idx = (np.arange(npts)[:, None] - np.arange(npts)[None, :]) % npts
-        GD = Gh[:, d_idx]                             # (a', d, b)
-        for c in range(nq):
-            rows = (c - rows_base) % nq
-            FP = Fh * P2[:, c][None, :]               # (a, b)
-            T = np.einsum("ab,adb->ad", FP, GD[rows])
-            S[c, :] = np.einsum("ad,ad->d", P1, T)
+        # one GEMM per row offset a' = c - a, summed over a' in order:
+        # S[c, d] += P1[a, d] sum_b Fh[a, b] P2[b, c] Gh[a', d - b]
+        S = np.zeros((nq, npts), dtype=complex)
+        d_idx = (np.arange(npts) - np.arange(npts)[:, None]) % npts   # (b, d)
+        for ap in range(nq):
+            rows = (np.arange(nq) - ap) % nq                  # a, for each c
+            S += P1[rows] * ((Fh[rows] * P2.T) @ Gh[ap][d_idx])
     else:
+        S = np.empty((nq, npts), dtype=complex)
         GhF = np.fft.fft(Gh, axis=1)
+        GG = np.concatenate([GhF, GhF])
         for c in range(nq):
-            rows = (c - rows_base) % nq
-            XF = np.fft.fft(Fh * P2[:, c][None, :], axis=1)
-            T = np.fft.ifft(XF * GhF[rows], axis=1)
-            S[c, :] = np.einsum("ad,ad->d", P1, T)
+            # the b-sum for every a as one circular convolution along d;
+            # GG[nq + c - a] = GhF[(c - a) mod nq] for a = 0 .. nq - 1
+            T = np.fft.ifft(np.fft.fft(Fh * P2[:, c], axis=1)
+                            * GG[nq + c:c:-1], axis=1)
+            T *= P1
+            S[c] = T.sum(0)
     off = np.exp(1j * (np.add.outer(xiq * spec.qmin, xip * spec.pmin)))
     n_total = nq * npts
     out = np.fft.ifft2(S * off) / (n_total * spec.dq ** 2 * spec.dp ** 2)

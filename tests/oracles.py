@@ -2,14 +2,19 @@
 
 Everything here deliberately avoids the package's closed-form code paths:
 scipy quadrature, series summation, an interlacing-bracket root walk, an
-exact piecewise antiderivative for the negativity integral, and a star
-product by the source-differentiation recursion.
+exact piecewise antiderivative for the negativity integral, a star
+product by the source-differentiation recursion, element-at-a-time grid
+star sums, and a per-value CSV writer and line reader.
 """
+
+import io
 
 import numpy as np
 from scipy.integrate import dblquad
 
+from moyal import __version__
 from moyal.errors import ConvergenceError
+from moyal.grid import GridField, _forward
 from moyal.models import laguerre_pair
 from moyal.polygauss import PolyGauss
 from moyal.star import _star_system
@@ -192,3 +197,98 @@ def polygauss_star_recursive(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     for i, j in nz:
         terms[(int(i), int(j))] = pref * total[i, j]
     return PolyGauss(terms, shape, f.hbar, f.frame)
+
+
+def star_numeric_loops(A: GridField, B: GridField, method: str) -> np.ndarray:
+    """Grid star product values by a per-output-row loop over Fourier modes.
+
+    For each output row c, 'direct' forms the full (a, d, b) product tensor
+    and reduces it with einsum; 'fft' does the b-sum of every row a as one
+    circular convolution, picking the rows of ghat by a fancy index.  Only
+    the transforms and phase tables are shared with ``moyal.star_numeric``;
+    boundary checks and warnings are left out.
+    """
+    spec, hbar = A.spec, A.hbar
+    nq, npts = spec.nq, spec.np
+    Fh, xiq, xip = _forward(A)
+    Gh, _, _ = _forward(B)
+    P1 = np.exp(-0.5j * hbar * np.outer(xiq, xip))   # (a, d)
+    P2 = np.exp(+0.5j * hbar * np.outer(xip, xiq))   # (b, c)
+    S = np.empty((nq, npts), dtype=complex)
+    rows_base = np.arange(nq)
+    if method == "direct":
+        d_idx = (np.arange(npts)[:, None] - np.arange(npts)[None, :]) % npts
+        GD = Gh[:, d_idx]                             # (a', d, b)
+        for c in range(nq):
+            rows = (c - rows_base) % nq
+            FP = Fh * P2[:, c][None, :]               # (a, b)
+            T = np.einsum("ab,adb->ad", FP, GD[rows])
+            S[c, :] = np.einsum("ad,ad->d", P1, T)
+    else:
+        GhF = np.fft.fft(Gh, axis=1)
+        for c in range(nq):
+            rows = (c - rows_base) % nq
+            XF = np.fft.fft(Fh * P2[:, c][None, :], axis=1)
+            T = np.fft.ifft(XF * GhF[rows], axis=1)
+            S[c, :] = np.einsum("ad,ad->d", P1, T)
+    off = np.exp(1j * (np.add.outer(xiq * spec.qmin, xip * spec.pmin)))
+    return np.fft.ifft2(S * off) / (nq * npts * spec.dq ** 2 * spec.dp ** 2)
+
+
+_FMT = "{:.16e}"
+
+
+def grid_csv_text(field: GridField, metadata: dict = None) -> str:
+    """The grid CSV layout, written one value at a time into a string."""
+    metadata = metadata or {}
+    spec = field.spec
+    vals = field.values
+    is_complex = bool(np.abs(vals.imag).max()
+                      > 1e-12 * max(np.abs(vals).max(), 1e-300))
+    meta = " ".join(f"{k}={metadata[k]}" for k in sorted(metadata))
+    out = io.StringIO()
+    out.write(f"# moyal-grid v1\n# version={__version__}\n")
+    if meta:
+        out.write(f"# {meta}\n")
+    out.write("# " + " ".join([
+        f"qmin={_FMT.format(spec.qmin)}", f"qmax={_FMT.format(spec.qmax)}",
+        f"pmin={_FMT.format(spec.pmin)}", f"pmax={_FMT.format(spec.pmax)}",
+        f"nq={spec.nq}", f"np={spec.np}", f"hbar={_FMT.format(field.hbar)}",
+    ]) + "\n")
+    out.write(f"# complex={int(is_complex)}\n")
+    for w in field.warnings:
+        out.write(f"# warning={w}\n")
+    out.write("# columns=" + ("q,p,re_W,im_W" if is_complex else "q,p,W") + "\n")
+    qs, ps = spec.qs, spec.ps
+    for i in range(spec.nq):
+        qi = _FMT.format(qs[i])
+        for j in range(spec.np):
+            v = vals[i, j]
+            out.write(f"{qi},{_FMT.format(ps[j])},{_FMT.format(v.real)}")
+            out.write(f",{_FMT.format(v.imag)}\n" if is_complex else "\n")
+    return out.getvalue()
+
+
+def read_grid_csv_lines(text: str):
+    """(values, metadata) of a grid CSV text, parsed line by line with float().
+
+    `# warning=` lines are skipped; the metadata holds the key=value tokens
+    of the other header lines.
+    """
+    meta = {}
+    rows = []
+    for line in text.splitlines():
+        if not line.strip() or line.startswith("# warning="):
+            continue
+        if line.startswith("#"):
+            for tok in line[1:].strip().split():
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    meta[k] = v
+            continue
+        rows.append([float(t) for t in line.split(",")])
+    data = np.asarray(rows)
+    shape = (int(meta["nq"]), int(meta["np"]))
+    if int(meta.get("complex", "0")):
+        return (data[:, 2] + 1j * data[:, 3]).reshape(shape), meta
+    return data[:, 2].astype(complex).reshape(shape), meta

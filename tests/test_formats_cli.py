@@ -10,8 +10,9 @@ import pytest
 from moyal.cli import main
 from moyal.formats import read_grid_csv, records_to_json, write_grid_csv
 from moyal.grid import GridField, GridSpec, sample
-from moyal.models import DampedParams, damped_wigner
-from moyal.negativity import eta_radial
+from moyal.models import DampedParams, damped_wigner, damped_wigner_values
+from moyal.negativity import damped_box, eta_radial
+from oracles import grid_csv_text, read_grid_csv_lines
 
 
 def test_grid_csv_roundtrip(tmp_path):
@@ -47,6 +48,78 @@ def test_grid_csv_deterministic_bytes():
     first_row = a.getvalue().splitlines()[-1]
     mantissa = first_row.split(",")[2].split("e")[0]
     assert len(mantissa.replace("-", "").replace(".", "")) == 17
+
+
+def _awkward_field(is_complex: bool) -> GridField:
+    # non-square, off-centre, signed zeros, subnormals and a warning line
+    spec = GridSpec(-2.5, 3.0, -1.0, 1.75, 9, 13)
+    vals = np.cos(np.arange(117.0).reshape(9, 13) / 5.0) * 1e-3
+    vals[0, 0], vals[1, 2], vals[2, 3] = -0.0, 5e-324, -2.2250738585072014e-309
+    if is_complex:
+        vals = vals + 1j * np.sin(np.arange(117.0).reshape(9, 13) / 3.0)
+        vals[3, 4] = complex(0.25, -0.0)
+    return GridField(spec, vals, 0.7, ("left operand does not decay",
+                                       "norm off by 1e-3 at |q|<=2.5"))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_grid_csv_bytes_match_per_value_oracle(is_complex, tmp_path):
+    field = _awkward_field(is_complex)
+    meta = {"model": "harmonic", "n": 3, "hbar": 0.7}
+    path = tmp_path / "w.csv"
+    write_grid_csv(field, str(path), meta)
+    text = path.read_bytes().decode()
+    assert text == grid_csv_text(field, meta)
+    assert f"# complex={int(is_complex)}" in text.splitlines()
+    buf = io.StringIO()
+    write_grid_csv(field, buf, meta)
+    assert buf.getvalue() == text
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_read_grid_csv_matches_line_oracle(is_complex, tmp_path):
+    field = _awkward_field(is_complex)
+    path = tmp_path / "w.csv"
+    write_grid_csv(field, str(path), {"model": "harmonic"})
+    from_path, meta = read_grid_csv(str(path))
+    with open(path) as fh:
+        from_file, meta_fh = read_grid_csv(fh)
+    want, want_meta = read_grid_csv_lines(path.read_text())
+    assert from_path.values.tobytes() == from_file.values.tobytes()
+    assert from_path.values.tobytes() == want.tobytes()
+    assert meta == meta_fh == want_meta
+    assert from_path.spec == field.spec and from_path.hbar == 0.7
+    assert from_path.warnings == from_file.warnings == field.warnings
+
+
+def test_cli_csv_bytes_match_per_value_oracle(tmp_path):
+    out = tmp_path / "w.csv"
+    box = [repr(v) for v in damped_box(3, -0.6)]
+    assert main(["wigner", "--model", "damped", "--n", "3", "--lambda", "-0.6",
+                 "--qmin", box[0], "--qmax", box[1], "--pmin", box[2],
+                 "--pmax", box[3], "--nq", "33", "--np", "20",
+                 "--out", str(out)]) == 0
+    spec = GridSpec(*damped_box(3, -0.6), 33, 20)
+    field = GridField(spec, damped_wigner_values(DampedParams(-0.6, 3),
+                                                 *spec.meshgrid()))
+    assert out.read_bytes().decode() == grid_csv_text(
+        field, {"model": "damped", "n": 3, "lambda": -0.6,
+                "normalization": "unit-integral"})
+
+
+def test_read_grid_csv_errors(tmp_path):
+    spec = GridSpec(-2.0, 2.0, -1.0, 1.0, 8, 9)
+    field = sample(damped_wigner(DampedParams(0.2, 1)), spec)
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    with pytest.raises(ValueError, match="^row count does not match the "
+                                         "declared grid$"):
+        read_grid_csv(io.StringIO("".join(lines[:-1])))
+    q, p, w = lines[-3].split(",")
+    ragged = lines[:-3] + [f"{q},{p}\n"] + lines[-2:]
+    with pytest.raises(ValueError):
+        read_grid_csv(io.StringIO("".join(ragged)))
 
 
 def test_records_json_deterministic():
@@ -89,6 +162,43 @@ def test_cli_wigner_strong_squeezing_pattern(tmp_path):
     far = np.abs(qs) > 2.0
     assert np.abs(anti[far]).max() < 1e-2 * np.abs(diag[far]).max()
     assert vals[100, 100] == pytest.approx(1.0 / np.pi, abs=1e-9)
+
+
+def test_cli_wigner_damped_box_keeps_normalization(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    box = [repr(v) for v in damped_box(10, 0.9)]
+    assert main(["wigner", "--model", "damped", "--n", "10", "--lambda", "0.9",
+                 "--qmin", box[0], "--qmax", box[1], "--pmin", box[2],
+                 "--pmax", box[3], "--nq", "41", "--np", "41",
+                 "--out", str(out)]) == 0
+    field, meta = read_grid_csv(str(out))
+    assert meta["normalization"] == "unit-integral" and field.warnings == ()
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_wigner_truncating_box_warns(tmp_path, capsys):
+    # the default +-6 box cuts off damped_box(10, 0.9) = +-22.3
+    out = tmp_path / "w.csv"
+    assert main(["wigner", "--model", "damped", "--n", "10", "--lambda", "0.9",
+                 "--nq", "41", "--np", "41", "--out", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines()
+              if line.startswith("#")]
+    warning = ("the box cuts the state off; damped_box spans |q| and |p| "
+               "up to 22.3")
+    assert f"# warning={warning}" in header
+    assert not any("normalization" in line for line in header)
+    assert warning in capsys.readouterr().err
+    field, meta = read_grid_csv(str(out))
+    assert field.warnings == (warning,) and "normalization" not in meta
+    assert (field.spec.qmin, field.spec.qmax) == (-6.0, 6.0)
+    # one edge short of the state's box is enough to warn
+    box = [repr(v) for v in damped_box(2, 0.3)]
+    assert main(["wigner", "--model", "damped", "--n", "2", "--lambda", "0.3",
+                 "--qmin", box[0], "--qmax", box[1], "--pmin", box[2],
+                 "--pmax", repr(0.9 * float(box[3])), "--nq", "16",
+                 "--np", "16", "--out", str(out)]) == 0
+    field, meta = read_grid_csv(str(out))
+    assert len(field.warnings) == 1 and "normalization" not in meta
 
 
 def test_cli_wigner_helium_sectors(tmp_path):

@@ -8,6 +8,7 @@ from moyal.grid import (GridField, GridSpec, grid_distance,
                         tapered_sample, wigner_from_wavefunction)
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
                           hermite_function)
+from oracles import star_numeric_loops
 
 SPEC = GridSpec(-8.0, 8.0, -8.0, 8.0, 128, 128)
 W0 = PolyGauss.gaussian(QuadForm(np.eye(2)), 1.0, coeff=1.0 / np.pi)
@@ -94,6 +95,32 @@ def test_fft_matches_direct_baseline(rng):
     fast = star_numeric(A, B, method="fft")
     scale = np.abs(direct.values).max()
     assert np.abs(direct.values - fast.values).max() <= 1e-10 * scale
+
+
+def _complex_operands(spec, hbar):
+    Q, P = spec.meshgrid()
+    a = np.exp(-(Q - 0.4) ** 2 - 0.7 * (P + 0.3) ** 2) * (1.0 + 0.5j * Q - P * Q)
+    b = np.exp(-0.8 * Q * Q - 1.3 * (P - 0.2) ** 2 + 0.3j * Q) * (0.5 - 1j * P)
+    return GridField(spec, a, hbar), GridField(spec, b, hbar)
+
+
+@pytest.mark.parametrize("spec, hbar", [
+    (GridSpec(-5.0, 7.0, -4.0, 6.0, 40, 24), 0.7),    # nq > np
+    (GridSpec(-6.5, 5.0, -5.5, 7.5, 20, 36), 1.3),    # nq < np
+    (GridSpec(-7.0, 9.0, -8.0, 8.0, 33, 32), 0.7),    # odd nq
+])
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_star_numeric_matches_loop_oracle(spec, hbar, method):
+    A, B = _complex_operands(spec, hbar)
+    out = star_numeric(A, B, method=method)
+    ref = star_numeric_loops(A, B, method)
+    assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_star_numeric_direct_is_deterministic():
+    A, B = _complex_operands(GridSpec(-5.0, 7.0, -4.0, 6.0, 40, 24), 0.7)
+    first = star_numeric(A, B, method="direct").values
+    assert first.tobytes() == star_numeric(A, B, method="direct").values.tobytes()
 
 
 def test_moyal_bracket_antisymmetry_and_stationarity():
