@@ -9,8 +9,10 @@ product is evaluated as a discrete twisted convolution in Fourier space,
 with sigma(xi, kappa) = xi_q kappa_p - xi_p kappa_q, followed by an inverse
 transform.  The direct baseline is the quadratic-cost sum over Fourier mode
 pairs, grouped by row offset into GEMMs; an FFT-accelerated path computes
-the identical sum via circular convolutions and is gated on agreement with
-the baseline.
+the same sum via circular convolutions and is gated on agreement with the
+baseline.  The FFT path skips the Fourier rows of either operand whose
+modulus stays at or below FFT_ROW_FLOOR times its transform's peak, i.e. on
+the forward transform's rounding floor; star_numeric states the error bound.
 
 Also provides the Wigner transform of a 1D wavefunction,
 
@@ -22,6 +24,7 @@ by fixed-order Gauss-Legendre quadrature over a declared support.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +34,10 @@ from .errors import GridMismatchError, ParameterMismatchError
 from .polygauss import PolyGauss
 
 BOUNDARY_DECAY = 1e-10
+# Fourier rows whose peak modulus is at or below this fraction of the
+# transform's peak are left out of the FFT star sum: about 8 unit roundoffs,
+# the forward fft2's own per-coefficient rounding (u log2 n) at n = 128-256.
+FFT_ROW_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -148,14 +155,8 @@ def _forward(field: GridField):
     return fhat, xiq, xip
 
 
-def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridField:
-    """Discrete twisted-convolution star product of two fields.
-
-    method='direct' is the quadratic-cost sum over Fourier-mode pairs,
-    grouped by row offset a' = c - a into one matrix product per offset
-    (deterministic summation order); method='fft' evaluates the same sum
-    through circular convolutions, one batch of rows per output row c.
-    """
+def _checked_warnings(A: GridField, B: GridField, method: str) -> list:
+    """Validate a product A*B; return its boundary-decay warnings."""
     if A.spec != B.spec:
         raise GridMismatchError("star_numeric requires identical grid specs")
     if abs(A.hbar - B.hbar) > 1e-15:
@@ -167,45 +168,106 @@ def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridFiel
         warnings.append("left operand does not decay at the box boundary")
     if not _boundary_ok(B.values):
         warnings.append("right operand does not decay at the box boundary")
-    spec = A.spec
-    hbar = A.hbar
-    nq, npts = spec.nq, spec.np
-    Fh, xiq, xip = _forward(A)
-    Gh, _, _ = _forward(B)
-    # twist split: exp(-i h sigma(xi,kappa)/2) = P1[a,d] * P2[b,c]
+    return warnings
+
+
+def _twist(xiq: np.ndarray, xip: np.ndarray, hbar: float):
+    """exp(-i h sigma(xi, kappa)/2) = P1[a, d] * P2[b, c]."""
     P1 = np.exp(-0.5j * hbar * np.outer(xiq, xip))   # (a, d)
     P2 = np.exp(+0.5j * hbar * np.outer(xip, xiq))   # (b, c)
+    return P1, P2
+
+
+def _live_rows(Fh: np.ndarray) -> np.ndarray:
+    """Rows of a transform that rise above FFT_ROW_FLOOR times its peak."""
+    mag = np.abs(Fh)
+    return mag.max(axis=1) > FFT_ROW_FLOOR * mag.max()
+
+
+def _twisted_sum(Fh, Gh, P1, P2, method: str) -> np.ndarray:
+    """S[c, d] = sum_{a, b} P1[a, d] Fh[a, b] P2[b, c] Gh[c - a, d - b]."""
+    nq, npts = Fh.shape
+    S = np.zeros((nq, npts), dtype=complex)
     if method == "direct":
         # one GEMM per row offset a' = c - a, summed over a' in order:
         # S[c, d] += P1[a, d] sum_b Fh[a, b] P2[b, c] Gh[a', d - b]
-        S = np.zeros((nq, npts), dtype=complex)
         d_idx = (np.arange(npts) - np.arange(npts)[:, None]) % npts   # (b, d)
         for ap in range(nq):
             rows = (np.arange(nq) - ap) % nq                  # a, for each c
             S += P1[rows] * ((Fh[rows] * P2.T) @ Gh[ap][d_idx])
-    else:
-        S = np.empty((nq, npts), dtype=complex)
-        GhF = np.fft.fft(Gh, axis=1)
-        GG = np.concatenate([GhF, GhF])
-        for c in range(nq):
-            # the b-sum for every a as one circular convolution along d;
-            # GG[nq + c - a] = GhF[(c - a) mod nq] for a = 0 .. nq - 1
-            T = np.fft.ifft(np.fft.fft(Fh * P2[:, c], axis=1)
-                            * GG[nq + c:c:-1], axis=1)
-            T *= P1
-            S[c] = T.sum(0)
+        return S
+    # only pairs (a, c - a) whose rows both clear the floor are summed
+    f_rows = np.flatnonzero(_live_rows(Fh))
+    g_live = _live_rows(Gh)
+    GhF = np.fft.fft(Gh, axis=1)
+    for c in range(nq):
+        a = f_rows[g_live[(c - f_rows) % nq]]
+        if a.size == 0:
+            continue
+        # the b-sum for every kept a as one circular convolution along d
+        X = Fh[a]
+        X *= P2[:, c]
+        T = np.fft.ifft(np.fft.fft(X, axis=1) * GhF[(c - a) % nq], axis=1)
+        T *= P1[a]
+        S[c] = T.sum(0)
+    return S
+
+
+def _inverse(S: np.ndarray, spec: GridSpec, xiq, xip) -> np.ndarray:
     off = np.exp(1j * (np.add.outer(xiq * spec.qmin, xip * spec.pmin)))
-    n_total = nq * npts
-    out = np.fft.ifft2(S * off) / (n_total * spec.dq ** 2 * spec.dp ** 2)
-    return GridField(spec, out, hbar, tuple(warnings))
+    n_total = spec.nq * spec.np
+    return np.fft.ifft2(S * off) / (n_total * spec.dq ** 2 * spec.dp ** 2)
+
+
+def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridField:
+    """Discrete twisted-convolution star product of two fields.
+
+    method='direct' is the quadratic-cost sum over Fourier-mode pairs,
+    grouped by row offset a' = c - a into one matrix product per offset
+    (deterministic summation order).  method='fft' evaluates the same sum
+    through circular convolutions along d, one batch of rows a per output
+    row c, and skips every pair (a, c - a) in which row a of Fh or row
+    c - a of Gh stays at or below FFT_ROW_FLOOR times that transform's peak
+    modulus.  The skipped terms add at most
+
+        FFT_ROW_FLOOR * (max|Fh| ||Gh||_1 + max|Gh| ||Fh||_1)
+
+    to each S[c, d] (||.||_1 summing moduli over all modes); output rows
+    with no surviving pair are exactly 0.  When no row is skipped the FFT
+    path does the unpruned arithmetic in the unpruned order.
+    """
+    warnings = _checked_warnings(A, B, method)
+    spec = A.spec
+    Fh, xiq, xip = _forward(A)
+    Gh, _, _ = _forward(B)
+    P1, P2 = _twist(xiq, xip, A.hbar)
+    S = _twisted_sum(Fh, Gh, P1, P2, method)
+    return GridField(spec, _inverse(S, spec, xiq, xip), A.hbar, tuple(warnings))
 
 
 def moyal_bracket_numeric(A: GridField, B: GridField, method: str = "direct") -> GridField:
-    """A*B - B*A on the grid."""
-    ab = star_numeric(A, B, method=method)
-    ba = star_numeric(B, A, method=method)
-    warnings = tuple(dict.fromkeys(ab.warnings + ba.warnings))
-    return GridField(A.spec, ab.values - ba.values, A.hbar, warnings)
+    """A*B - B*A on the grid.
+
+    Both products share the forward transforms and phase tables; each is
+    bitwise the star_numeric product of the same operands.
+    """
+    warnings = _checked_warnings(A, B, method) + _checked_warnings(B, A, method)
+    spec = A.spec
+    Fh, xiq, xip = _forward(A)
+    Gh, _, _ = _forward(B)
+    P1, P2 = _twist(xiq, xip, A.hbar)
+    ab = _inverse(_twisted_sum(Fh, Gh, P1, P2, method), spec, xiq, xip)
+    ba = _inverse(_twisted_sum(Gh, Fh, P1, P2, method), spec, xiq, xip)
+    return GridField(spec, ab - ba, A.hbar, tuple(dict.fromkeys(warnings)))
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int):
+    """Read-only Gauss-Legendre (nodes, weights) on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def wigner_from_wavefunction(phi, spec: GridSpec, hbar: float = 1.0,
@@ -221,7 +283,7 @@ def wigner_from_wavefunction(phi, spec: GridSpec, hbar: float = 1.0,
         support = max(abs(spec.qmin), abs(spec.qmax)) + 4.0
     if not np.isfinite(support) or support <= 0:
         raise ValueError("divergent support for the Wigner transform")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     z = 2.0 * support * nodes
     w = 2.0 * support * weights
     warnings = []

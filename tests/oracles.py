@@ -235,6 +235,33 @@ def star_numeric_loops(A: GridField, B: GridField, method: str) -> np.ndarray:
     return np.fft.ifft2(S * off) / (nq * npts * spec.dq ** 2 * spec.dp ** 2)
 
 
+def star_numeric_fft_unpruned(A: GridField, B: GridField) -> np.ndarray:
+    """Grid star product values by the FFT loop with every row pair kept.
+
+    The loop transforms all nq rows for every output row c and reads the
+    rows of ghat for a = 0 .. nq - 1 through a reversed view of a doubled
+    table; ``moyal.star_numeric(method="fft")`` does the same arithmetic in
+    the same order whenever no Fourier row falls below its floor.
+    """
+    spec, hbar = A.spec, A.hbar
+    nq, npts = spec.nq, spec.np
+    Fh, xiq, xip = _forward(A)
+    Gh, _, _ = _forward(B)
+    P1 = np.exp(-0.5j * hbar * np.outer(xiq, xip))   # (a, d)
+    P2 = np.exp(+0.5j * hbar * np.outer(xip, xiq))   # (b, c)
+    S = np.empty((nq, npts), dtype=complex)
+    GhF = np.fft.fft(Gh, axis=1)
+    GG = np.concatenate([GhF, GhF])
+    for c in range(nq):
+        # GG[nq + c - a] = GhF[(c - a) mod nq] for a = 0 .. nq - 1
+        T = np.fft.ifft(np.fft.fft(Fh * P2[:, c], axis=1)
+                        * GG[nq + c:c:-1], axis=1)
+        T *= P1
+        S[c] = T.sum(0)
+    off = np.exp(1j * (np.add.outer(xiq * spec.qmin, xip * spec.pmin)))
+    return np.fft.ifft2(S * off) / (nq * npts * spec.dq ** 2 * spec.dp ** 2)
+
+
 _FMT = "{:.16e}"
 
 

@@ -3,12 +3,13 @@ import pytest
 
 from moyal import (GridMismatchError, ParameterMismatchError, PolyGauss,
                    QuadForm, polygauss_star)
-from moyal.grid import (GridField, GridSpec, grid_distance,
+from moyal.grid import (FFT_ROW_FLOOR, GridField, GridSpec, _forward,
+                        _gauss_legendre, _live_rows, grid_distance,
                         moyal_bracket_numeric, sample, star_numeric,
                         tapered_sample, wigner_from_wavefunction)
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
                           hermite_function)
-from oracles import star_numeric_loops
+from oracles import star_numeric_fft_unpruned, star_numeric_loops
 
 SPEC = GridSpec(-8.0, 8.0, -8.0, 8.0, 128, 128)
 W0 = PolyGauss.gaussian(QuadForm(np.eye(2)), 1.0, coeff=1.0 / np.pi)
@@ -117,6 +118,87 @@ def test_star_numeric_matches_loop_oracle(spec, hbar, method):
     assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _count_fft_rows(monkeypatch):
+    """Count the rows handed to np.fft.fft (the grid engine's 1D transforms)."""
+    rows = []
+    fft = np.fft.fft
+
+    def counting_fft(x, *args, **kwargs):
+        rows.append(np.shape(x)[0])
+        return fft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    return rows
+
+
+def _band_limited_pair(spec):
+    g = PolyGauss.gaussian(QuadForm.from_coeffs(1.3, 0.2, 0.9, 0.4, -0.3, 0.0),
+                           1.0, coeff=0.4)
+    return sample(W0, spec), sample(g, spec)
+
+
+def test_fft_pruning_skips_rows_within_the_floor_bound(monkeypatch):
+    A, B = _band_limited_pair(SPEC)
+    Fh, Gh = _forward(A)[0], _forward(B)[0]
+    assert _live_rows(Fh).mean() <= 0.6 and _live_rows(Gh).mean() <= 0.6
+    ref = star_numeric_fft_unpruned(A, B)
+    rows = _count_fft_rows(monkeypatch)
+    out = star_numeric(A, B, method="fft").values
+    # one batch for GhF plus one per output row that keeps a pair; the
+    # unpruned loop hands nq + nq * nq rows to np.fft.fft
+    assert sum(rows) <= 0.4 * (SPEC.nq + SPEC.nq ** 2)
+    err = np.abs(out - ref).max()
+    assert err <= 1e-13 * np.abs(ref).max()
+    fmax, gmax = np.abs(Fh).max(), np.abs(Gh).max()
+    s_bound = FFT_ROW_FLOOR * (fmax * np.abs(Gh).sum() + gmax * np.abs(Fh).sum())
+    # |ifft2(dS * off)| <= max|dS|, then the star_numeric normalisation
+    assert err <= s_bound / (SPEC.nq * SPEC.np * SPEC.dq ** 2 * SPEC.dp ** 2)
+
+
+def test_fft_without_skipped_rows_is_bitwise_unpruned(monkeypatch, rng):
+    spec = GridSpec(-5.0, 7.0, -4.0, 6.0, 40, 24)
+    A, B = (GridField(spec, rng.randn(40, 24) + 1j * rng.randn(40, 24), 0.7)
+            for _ in range(2))
+    assert _live_rows(_forward(A)[0]).all() and _live_rows(_forward(B)[0]).all()
+    ref = star_numeric_fft_unpruned(A, B)
+    rows = _count_fft_rows(monkeypatch)
+    out = star_numeric(A, B, method="fft").values
+    assert sum(rows) == spec.nq + spec.nq ** 2
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_fft_zero_operand_gives_zero():
+    A = sample(W0, SPEC)
+    zero = GridField(SPEC, np.zeros((SPEC.nq, SPEC.np)))
+    assert not star_numeric(A, zero, method="fft").values.any()
+    assert not star_numeric(zero, A, method="fft").values.any()
+
+
+def test_fft_pruned_mixed_pair_matches_direct():
+    # the tapered Hamiltonian keeps every row, the Gaussian about half
+    H = tapered_sample(lambda Q, P: 0.5 * (Q * Q + P * P), SPEC, flat_radius=4.0)
+    W = sample(W0, SPEC)
+    assert _live_rows(_forward(W)[0]).mean() <= 0.6
+    for left, right in ((H, W), (W, H)):
+        direct = star_numeric(left, right, method="direct").values
+        fast = star_numeric(left, right, method="fft").values
+        assert np.abs(direct - fast).max() <= 1e-10 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("method, n", [("fft", 128), ("direct", 40)])
+def test_moyal_bracket_is_bitwise_two_products(method, n):
+    spec = GridSpec(-8.0, 8.0, -8.0, 8.0, n, n)
+    H = tapered_sample(lambda Q, P: 0.5 * (Q * Q + P * P), spec, flat_radius=4.0)
+    W = sample(W0, spec)
+    br = moyal_bracket_numeric(W, H, method=method)
+    ab = star_numeric(W, H, method=method)
+    ba = star_numeric(H, W, method=method)
+    assert br.values.tobytes() == (ab.values - ba.values).tobytes()
+    assert br.warnings == tuple(dict.fromkeys(ab.warnings + ba.warnings))
+    assert br.warnings == ("right operand does not decay at the box boundary",
+                           "left operand does not decay at the box boundary")
+
+
 def test_star_numeric_direct_is_deterministic():
     A, B = _complex_operands(GridSpec(-5.0, 7.0, -4.0, 6.0, 40, 24), 0.7)
     first = star_numeric(A, B, method="direct").values
@@ -181,6 +263,16 @@ def test_wigner_transform_marginal_consistency():
     marg = out.values.real.sum(axis=1) * SPEC.dp
     ref = hermite_function(2, SPEC.qs) ** 2
     assert np.abs(marg - ref).max() < 1e-6
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    nodes, weights = _gauss_legendre(96)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(96)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert _gauss_legendre(96)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 def test_wigner_transform_divergent_support():
