@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from moyal import (GridMismatchError, ParameterMismatchError, PolyGauss,
-                   QuadForm, polygauss_star)
+                   QuadForm, grid, polygauss_star)
 from moyal.grid import (FFT_ROW_FLOOR, GridField, GridSpec, _forward,
                         _gauss_legendre, _live_rows, grid_distance,
                         moyal_bracket_numeric, sample, star_numeric,
                         tapered_sample, wigner_from_wavefunction)
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
                           hermite_function)
-from oracles import star_numeric_fft_unpruned, star_numeric_loops
+from oracles import (moyal_bracket_two_sums, star_numeric_fft_unpruned,
+                     star_numeric_loops)
 
 SPEC = GridSpec(-8.0, 8.0, -8.0, 8.0, 128, 128)
 W0 = PolyGauss.gaussian(QuadForm(np.eye(2)), 1.0, coeff=1.0 / np.pi)
@@ -185,18 +186,121 @@ def test_fft_pruned_mixed_pair_matches_direct():
         assert np.abs(direct - fast).max() <= 1e-10 * np.abs(direct).max()
 
 
-@pytest.mark.parametrize("method, n", [("fft", 128), ("direct", 40)])
-def test_moyal_bracket_is_bitwise_two_products(method, n):
+def _bracket_pair(n):
     spec = GridSpec(-8.0, 8.0, -8.0, 8.0, n, n)
     H = tapered_sample(lambda Q, P: 0.5 * (Q * Q + P * P), spec, flat_radius=4.0)
-    W = sample(W0, spec)
+    return sample(W0, spec), H
+
+
+@pytest.mark.parametrize("method, n", [("fft", 128), ("direct", 40)])
+def test_moyal_bracket_is_bitwise_two_products(method, n):
+    # real operands: B*A is taken as the conjugate of the one product A*B
+    W, H = _bracket_pair(n)
     br = moyal_bracket_numeric(W, H, method=method)
     ab = star_numeric(W, H, method=method)
     ba = star_numeric(H, W, method=method)
-    assert br.values.tobytes() == (ab.values - ba.values).tobytes()
+    assert br.values.tobytes() == (ab.values - ab.values.conj()).tobytes()
     assert br.warnings == tuple(dict.fromkeys(ab.warnings + ba.warnings))
     assert br.warnings == ("right operand does not decay at the box boundary",
                            "left operand does not decay at the box boundary")
+
+
+@pytest.mark.parametrize("kind", ["complex", "1e-300j-left", "1e-300j-right"])
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_moyal_bracket_of_complex_fields_is_bitwise_two_products(method, kind):
+    spec = GridSpec(-5.0, 7.0, -4.0, 6.0, 40, 24)
+    A, B = _complex_operands(spec, 0.7)
+    if kind != "complex":
+        # real fields but one entry 1e-300j on one side
+        a, b = A.values.real.astype(complex), B.values.real.astype(complex)
+        (a if kind == "1e-300j-left" else b)[17, 9] += 1e-300j
+        A, B = GridField(spec, a, 0.7), GridField(spec, b, 0.7)
+    br = moyal_bracket_numeric(A, B, method=method)
+    ab = star_numeric(A, B, method=method)
+    ba = star_numeric(B, A, method=method)
+    assert br.values.tobytes() == (ab.values - ba.values).tobytes()
+    assert br.warnings == tuple(dict.fromkeys(ab.warnings + ba.warnings))
+
+
+def _damped_pair(spec, h_lam, w_lam, n, flat_radius):
+    """Tapered damped Hamiltonian (h_lam) and the damped state (w_lam, n)."""
+    H = tapered_sample(lambda Q, P: 0.5 * (Q * Q + P * P) - h_lam * Q * P,
+                       spec, flat_radius=flat_radius)
+    return H, sample(damped_wigner(DampedParams(w_lam, n)), spec)
+
+
+def _off_centre_pair():
+    spec = GridSpec(-14.0, 18.0, -15.0, 17.0, 192, 176)
+    Q, P = spec.meshgrid()
+    H = tapered_sample(lambda Q, P: 0.5 * (Q * Q + P * P) + 0.3 * Q, spec,
+                       flat_radius=6.0, hbar=0.7)
+    W = np.exp(-((Q - 1.0) ** 2 + 1.3 * (P - 0.5) ** 2) / 0.7) * (1.0 - Q * P)
+    return H, GridField(spec, W, 0.7)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: _damped_pair(GridSpec(-12.0, 12.0, -12.0, 12.0, 128, 128), 0.5, 0.0, 2, 6.0),
+    lambda: _damped_pair(GridSpec(-16.0, 16.0, -16.0, 16.0, 191, 191), 0.5, 0.0, 2, 9.0),
+    lambda: _damped_pair(GridSpec(-16.0, 16.0, -16.0, 16.0, 192, 192), 0.5, 0.0, 2, 9.0),
+    _off_centre_pair,
+], ids=["128-pm12", "191-pm16", "192-pm16", "off-centre-hbar0.7"])
+def test_moyal_bracket_of_real_fields_matches_two_sums(pair):
+    # H at lam = 0.5 against a lam = 0 state: the bracket is of order H*W
+    H, W = pair()
+    br = moyal_bracket_numeric(H, W, method="fft").values
+    ref = moyal_bracket_two_sums(H, W, method="fft").values
+    scale = np.abs(star_numeric(H, W, method="fft").values).max()
+    assert np.abs(br - ref).max() <= 1e-13 * scale
+    assert not br.real.any()
+
+
+@pytest.mark.parametrize("n, half, flat_radius", [
+    (40, 8.0, 4.0), (41, 8.0, 4.0), (64, 8.0, 4.0), (128, 12.0, 6.0),
+    (192, 16.0, 9.0),
+])
+def test_moyal_bracket_error_stays_within_two_sum_error(n, half, flat_radius):
+    # against exact brackets: {H, W} = 0 for the stationary damped states
+    # (worst over lam and n), [q, p] = i on the flat inner square
+    spec = GridSpec(-half, half, -half, half, n, n)
+    err, ref_err = 0.0, 0.0
+    for lam in (0.0, 0.5):
+        for k in range(3):
+            H, W = _damped_pair(spec, lam, lam, k, flat_radius)
+            peak = np.abs(W.values).max()
+            br = moyal_bracket_numeric(H, W, method="fft").values
+            ref = moyal_bracket_two_sums(H, W, method="fft").values
+            err = max(err, np.abs(br).max() / peak)
+            ref_err = max(ref_err, np.abs(ref).max() / peak)
+    assert err <= 1.5 * ref_err
+    qf = tapered_sample(lambda Q, P: Q, spec, flat_radius=flat_radius)
+    pf = tapered_sample(lambda Q, P: P, spec, flat_radius=flat_radius)
+    inner = (np.abs(spec.qs) <= 2.0)[:, None] & (np.abs(spec.ps) <= 2.0)[None, :]
+    err = np.abs(moyal_bracket_numeric(qf, pf, method="fft").values[inner] - 1j).max()
+    ref_err = np.abs(moyal_bracket_two_sums(qf, pf, method="fft").values[inner] - 1j).max()
+    assert err <= 1.5 * ref_err
+
+
+@pytest.mark.parametrize("kind, sums", [
+    ("real", 1), ("real-swapped", 1), ("complex", 2), ("identical", 0),
+])
+def test_moyal_bracket_twisted_sum_count(monkeypatch, kind, sums):
+    W, H = _bracket_pair(40)
+    A, B = {"real": (W, H), "real-swapped": (H, W), "identical": (H, H),
+            "complex": _complex_operands(W.spec, 1.0)}[kind]
+    ref = moyal_bracket_two_sums(A, B, method="fft")
+    calls = []
+    twisted_sum = grid._twisted_sum
+
+    def counting_twisted_sum(*args):
+        calls.append(args)
+        return twisted_sum(*args)
+
+    monkeypatch.setattr(grid, "_twisted_sum", counting_twisted_sum)
+    br = moyal_bracket_numeric(A, B, method="fft")
+    assert len(calls) == sums
+    assert br.warnings == ref.warnings
+    if kind == "identical":
+        assert not br.values.any()
 
 
 def test_star_numeric_direct_is_deterministic():
