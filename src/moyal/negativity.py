@@ -17,7 +17,13 @@ Two deliberately independent routes:
 * eta_grid: adaptive 2D panel quadrature of (|W| - W) over a box, with
   embedded error estimates from one level of panel refinement.  The
   normalization is re-imposed internally (eta = int(|W| - W) / int W), so
-  a rescaled input yields the same indicator.
+  a rescaled input yields the same indicator.  The greedy refinement
+  order (worst panel first, ties by insertion) is replayed exactly in
+  batches: one call of the integrand evaluates the children of the
+  popped panel and of up to seven more unrefined panels at the top of the
+  heap (those the loop would still reach if no refinement added error),
+  and the cached results are used as their panels are popped, so
+  the estimate is bitwise that of refining one panel per call.
 
 The sequence eta(n) is strictly increasing and lambda-free; the reference
 values below anchor n = 0..9.
@@ -25,6 +31,7 @@ values below anchor n = 0..9.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,36 +147,27 @@ def eta_radial(n: int, lam: float = 0.0) -> NegativityRecord:
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _MAX_PANELS = 60_000
+# panels refined per func call: the popped panel plus the next unrefined
+# ones at the top of the heap (8 boxes x 16 x 64 nodes = 8192 points)
+_BATCH = 8
 
 
-def _quarter_boxes(qa, qb, pa, pb):
-    qm = 0.5 * (qa + qb)
-    pm = 0.5 * (pa + pb)
-    return ((qa, qm, pa, pm), (qa, qm, pm, pb),
-            (qm, qb, pa, pm), (qm, qb, pm, pb))
-
-
-class _Panel:
-    """One leaf of the adaptive subdivision.
-
-    Holds the refined estimate (sum over the panel's four quarters) and the
-    embedded error |refined - coarse| used to rank refinement candidates.
-    """
-
-    __slots__ = ("box", "neg", "tot", "err", "quarter_data")
-
-    def __init__(self, box, coarse, quarter_data):
-        self.box = box
-        self.neg = sum(q[0] for q in quarter_data)
-        self.tot = sum(q[1] for q in quarter_data)
-        self.err = abs(self.neg - coarse[0])
-        self.quarter_data = quarter_data
+def _quarters(boxes):
+    """The four quarter boxes of each (qa, qb, pa, pb) row, one box in turn."""
+    b = np.asarray(boxes, dtype=float)
+    qm = 0.5 * (b[:, 0] + b[:, 1])
+    pm = 0.5 * (b[:, 2] + b[:, 3])
+    out = np.repeat(b[:, None, :], 4, axis=1)
+    out[:, :2, 1] = qm[:, None]
+    out[:, 2:, 0] = qm[:, None]
+    out[:, ::2, 3] = pm[:, None]
+    out[:, 1::2, 2] = pm[:, None]
+    return out.reshape(-1, 4)
 
 
 def _eval_panels(func, boxes):
-    """(int(|W|-W), int W) on each box, one vectorized call for all boxes."""
+    """(int(|W|-W), int W) on each box row, one vectorized call for all."""
     nodes, weights = _GL8
-    boxes = np.asarray(boxes, dtype=float)
     qm = 0.5 * (boxes[:, 0] + boxes[:, 1])
     qr = 0.5 * (boxes[:, 1] - boxes[:, 0])
     pm = 0.5 * (boxes[:, 2] + boxes[:, 3])
@@ -183,45 +181,97 @@ def _eval_panels(func, boxes):
     return neg, tot
 
 
+def _panels(boxes, coarse, neg, tot):
+    """Panel tuples (box, neg, tot, err, quarter negs) from quarter sums.
+
+    neg and tot hold the four quarters of each box in turn; a panel's
+    estimate is their sum, its error |sum - coarse|.
+    """
+    n4 = neg.reshape(-1, 4)
+    t4 = tot.reshape(-1, 4)
+    # left to right from 0, as the built-in sum adds (so -0.0 gives 0.0)
+    pneg = 0.0 + n4[:, 0] + n4[:, 1] + n4[:, 2] + n4[:, 3]
+    ptot = 0.0 + t4[:, 0] + t4[:, 1] + t4[:, 2] + t4[:, 3]
+    perr = np.abs(pneg - np.asarray(coarse))
+    return list(zip(boxes.tolist(), pneg.tolist(), ptot.tolist(),
+                    perr.tolist(), n4.tolist()))
+
+
+def _refine(func, parents):
+    """The four child panels of each parent panel, one func call for all."""
+    boxes = _quarters([p[0] for p in parents])
+    neg, tot = _eval_panels(func, _quarters(boxes))
+    kids = _panels(boxes, [c for p in parents for c in p[4]], neg, tot)
+    return [kids[4 * i:4 * i + 4] for i in range(len(parents))]
+
+
+def _unrefined_top(heap, refined, k, room):
+    """Up to k heap entries, best first, whose children are not yet known.
+
+    room is the error the pops may still remove before the loop stops; an
+    entry is taken only while the errors of the entries above it leave
+    some, so panels the loop is likely to stop short of are not evaluated.
+    Entries are popped to look and pushed back; their keys are unique, so
+    the order of later pops is unchanged.
+    """
+    seen, picks = [], []
+    while heap and len(picks) < k:
+        entry = heapq.heappop(heap)
+        seen.append(entry)
+        if entry[1] not in refined:
+            if room <= 0.0:
+                break
+            picks.append(entry)
+        room += entry[0]
+    for entry in seen:
+        heapq.heappush(heap, entry)
+    return picks
+
+
 def _adaptive_eta(func, box, tol):
     """Globally adaptive quadrature: always refine the worst panel.
 
-    Returns (int(|W|-W), int W, error estimate).  Deterministic: the heap
-    is tie-broken by insertion order.
+    Returns (int(|W|-W), int W, error estimate).  The panel with the
+    largest |refined - coarse| is refined next, ties broken by insertion
+    order, and the totals are accumulated in pop order.  The refinement is
+    replayed in batches: when the popped panel's children are not known,
+    one func call evaluates them together with the children of the next
+    unrefined panels at the top of the heap, up to _BATCH panels and only
+    while their errors leave the loop running; the others are cached
+    until popped.  For a func that acts point by point, a panel's sums do
+    not depend on the batch it is evaluated in, so the pops, pushes and
+    totals are exactly those of one refinement per call.
     """
-    import heapq
-
-    def make_panels(parent_boxes, coarse_list):
-        quarters = [q for b in parent_boxes for q in _quarter_boxes(*b)]
-        neg, tot = _eval_panels(func, quarters)
-        panels = []
-        for i, b in enumerate(parent_boxes):
-            data = [(neg[4 * i + j], tot[4 * i + j]) for j in range(4)]
-            panels.append(_Panel(b, coarse_list[i], data))
-        return panels
-
-    neg0, tot0 = _eval_panels(func, [box])
-    root = make_panels([box], [(neg0[0], tot0[0])])[0]
+    root_box = np.array([box], dtype=float)
+    neg, tot = _eval_panels(func, np.vstack([root_box, _quarters(root_box)]))
+    root = _panels(root_box, [neg[0]], neg[1:], tot[1:])[0]
     counter = 0
-    heap = [(-root.err, counter, root)]
-    total_neg, total_tot, total_err = root.neg, root.tot, root.err
+    heap = [(-root[3], counter, root)]
+    refined = {}
+    _, total_neg, total_tot, total_err, _ = root
     n_panels = 1
     while total_err > 0.4 * tol and heap:
-        _, _, worst = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
         if n_panels > _MAX_PANELS:
             raise ConvergenceError("adaptive quadrature exceeded panel budget")
-        total_neg -= worst.neg
-        total_tot -= worst.tot
-        total_err -= worst.err
-        children = make_panels(list(_quarter_boxes(*worst.box)),
-                               worst.quarter_data)
+        _, key, (_, neg, tot, err, _) = entry
+        total_neg -= neg
+        total_tot -= tot
+        total_err -= err
+        children = refined.pop(key, None)
+        if children is None:
+            batch = [entry] + _unrefined_top(heap, refined, _BATCH - 1,
+                                             total_err - 0.4 * tol)
+            kids = _refine(func, [e[2] for e in batch])
+            refined.update((e[1], k) for e, k in zip(batch[1:], kids[1:]))
+            children = kids[0]
         n_panels += 3
         for child in children:
             counter += 1
-            heapq.heappush(heap, (-child.err, counter, child))
-            total_neg += child.neg
-            total_tot += child.tot
-            total_err += child.err
+            heapq.heappush(heap, (-child[3], counter, child))
+            total_neg += child[1]
+            total_tot += child[2]
+            total_err += child[3]
     return total_neg, total_tot, total_err
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's closed-form code paths:
 scipy quadrature, series summation, an interlacing-bracket root walk, an
-exact piecewise antiderivative for the negativity integral, a star
+exact piecewise antiderivative for the negativity integral, the
+one-panel-per-step greedy loop of the adaptive eta quadrature, a star
 product by the source-differentiation recursion, element-at-a-time grid
 star sums, a Moyal bracket that forms both grid star products, and a
 per-value CSV writer and line reader.
@@ -13,7 +14,7 @@ import io
 import numpy as np
 from scipy.integrate import dblquad
 
-from moyal import __version__
+from moyal import __version__, negativity
 from moyal.errors import ConvergenceError
 from moyal.grid import (GridField, _checked_decay, _decay_warnings, _forward,
                         _inverse, _twist, _twisted_sum)
@@ -105,6 +106,75 @@ def eta_exact(n: int) -> float:
     for j, y in enumerate(laguerre_roots_bracketed(n), start=1):
         total += 4.0 * (-1.0) ** j * np.exp(-0.5 * y) * G(y)
     return 0.5 * total - 1.0
+
+
+class _Panel:
+    """One leaf of the adaptive subdivision.
+
+    Holds the refined estimate (sum over the panel's four quarters) and the
+    embedded error |refined - coarse| used to rank refinement candidates.
+    """
+
+    __slots__ = ("box", "neg", "tot", "err", "quarter_data")
+
+    def __init__(self, box, coarse, quarter_data):
+        self.box = box
+        self.neg = sum(q[0] for q in quarter_data)
+        self.tot = sum(q[1] for q in quarter_data)
+        self.err = abs(self.neg - coarse[0])
+        self.quarter_data = quarter_data
+
+
+def adaptive_eta_greedy(func, box, tol):
+    """Globally adaptive quadrature, one panel refined per loop turn.
+
+    Always refines the panel with the largest |refined - coarse|, ties
+    broken by insertion order, with one ``_eval_panels`` call per turn.
+    Returns (int(|W|-W), int W, error estimate); the reference for the
+    batched replay in ``moyal.negativity._adaptive_eta``.
+    """
+    import heapq
+
+    _eval_panels = negativity._eval_panels
+
+    def _quarter_boxes(qa, qb, pa, pb):
+        qm = 0.5 * (qa + qb)
+        pm = 0.5 * (pa + pb)
+        return ((qa, qm, pa, pm), (qa, qm, pm, pb),
+                (qm, qb, pa, pm), (qm, qb, pm, pb))
+
+    def make_panels(parent_boxes, coarse_list):
+        quarters = [q for b in parent_boxes for q in _quarter_boxes(*b)]
+        neg, tot = _eval_panels(func, np.asarray(quarters, dtype=float))
+        panels = []
+        for i, b in enumerate(parent_boxes):
+            data = [(neg[4 * i + j], tot[4 * i + j]) for j in range(4)]
+            panels.append(_Panel(b, coarse_list[i], data))
+        return panels
+
+    neg0, tot0 = _eval_panels(func, np.asarray([box], dtype=float))
+    root = make_panels([box], [(neg0[0], tot0[0])])[0]
+    counter = 0
+    heap = [(-root.err, counter, root)]
+    total_neg, total_tot, total_err = root.neg, root.tot, root.err
+    n_panels = 1
+    while total_err > 0.4 * tol and heap:
+        _, _, worst = heapq.heappop(heap)
+        if n_panels > negativity._MAX_PANELS:
+            raise ConvergenceError("adaptive quadrature exceeded panel budget")
+        total_neg -= worst.neg
+        total_tot -= worst.tot
+        total_err -= worst.err
+        children = make_panels(list(_quarter_boxes(*worst.box)),
+                               worst.quarter_data)
+        n_panels += 3
+        for child in children:
+            counter += 1
+            heapq.heappush(heap, (-child.err, counter, child))
+            total_neg += child.neg
+            total_tot += child.tot
+            total_err += child.err
+    return total_neg, total_tot, total_err
 
 
 def _affine_mul(arr: np.ndarray, c0: complex, cq: complex, cp: complex) -> np.ndarray:

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moyal import negativity
 from moyal.cli import main
 from moyal.formats import read_grid_csv, records_to_json, write_grid_csv
 from moyal.grid import GridField, GridSpec, sample
 from moyal.models import DampedParams, damped_wigner, damped_wigner_values
-from moyal.negativity import damped_box, eta_radial
-from oracles import grid_csv_text, read_grid_csv_lines
+from moyal.negativity import (damped_box, eta_radial, lambda_scan,
+                              negativity_table)
+from oracles import adaptive_eta_greedy, grid_csv_text, read_grid_csv_lines
 
 
 def test_grid_csv_roundtrip(tmp_path):
@@ -281,6 +283,27 @@ def test_cli_lambda_scan(capsys):
     captured = capsys.readouterr()
     assert rc == 4
     assert "FAILED" in captured.err
+
+
+def test_cli_negativity_grid_bytes_match_greedy_loop(tmp_path, monkeypatch):
+    # the batched adaptive loop writes what the one-panel-per-turn loop gives
+    table, scan = tmp_path / "table.json", tmp_path / "scan.json"
+    assert main(["negativity", "--method", "grid", "--n-max", "10",
+                 "--lambda", "0.6", "--out", str(table)]) == 0
+    scan_rc = main(["negativity", "--lambda-scan=0,0.3,-0.6,0.9", "--n", "3",
+                    "--out", str(scan)])
+    monkeypatch.setattr(negativity, "_adaptive_eta", adaptive_eta_greedy)
+    records = negativity_table(10, 0.6, "grid", tol=1e-3)
+    assert table.read_bytes() == records_to_json(
+        records, {"model": "damped", "lambda": 0.6,
+                  "method": "grid"}).encode()
+    report = lambda_scan(3, (0.0, 0.3, -0.6, 0.9), 1e-3)
+    assert scan_rc == (0 if report.ok else 4)
+    doc = {"n": 3, "tol": 1e-3, "lambdas": [0.0, 0.3, -0.6, 0.9],
+           "radial_eta": report.radial.eta,
+           "grid_etas": [r.eta for r in report.grid],
+           "max_deviation": report.max_deviation, "ok": report.ok}
+    assert scan.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_cli_usage_errors():

@@ -89,6 +89,16 @@ def test_harmonic_wigner_matches_projector():
     assert np.abs(vals - harmonic_wigner(3).evaluate(Q, P).real).max() < 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "silent truncation of high-n states: PolyGauss prunes monomial "
+    "coefficients at or below PRUNE_REL_TOL of the largest, which drops "
+    "real terms of L_20 (221 of 231 kept); 4.4e3 comes back for 2.1e-3"))
+def test_harmonic_wigner_n20_evaluate_matches_recurrence():
+    value = harmonic_wigner(20).evaluate(3.0, 0.0)
+    ref = harmonic_wigner_values(20, 3.0, 0.0)
+    assert abs(value - ref) <= 1e-6 * abs(ref)
+
+
 # ---- helium ----------------------------------------------------------------
 
 def test_helium_params_validation():

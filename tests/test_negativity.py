@@ -3,14 +3,15 @@ import time
 import numpy as np
 import pytest
 
-from moyal.errors import BoxTooSmallError
+from moyal import negativity
+from moyal.errors import BoxTooSmallError, ConvergenceError
 from moyal.grid import GridSpec, wigner_from_wavefunction
 from moyal.models import DampedParams, damped_wigner_values, hermite_function
 from moyal.negativity import (ETA_REFERENCE, damped_box, eta_grid,
                               eta_grid_damped, eta_radial, laguerre_roots,
                               lambda_scan, negativity_table)
 
-from oracles import eta_exact, laguerre_roots_bracketed
+from oracles import adaptive_eta_greedy, eta_exact, laguerre_roots_bracketed
 
 
 def test_laguerre_roots_interlace():
@@ -110,6 +111,96 @@ def test_eta_grid_scale_invariance():
     base = eta_grid(lambda Q, P: damped_wigner_values(dp, Q, P), box, 1e-5)
     scaled = eta_grid(lambda Q, P: 2.5 * damped_wigner_values(dp, Q, P), box, 1e-5)
     assert scaled.eta == pytest.approx(base.eta, abs=1e-6)
+
+
+def _damped_quadrature(n, lam, tol):
+    """(func, box, tol) that eta_grid_damped hands to the adaptive loop."""
+    seen = []
+
+    def spy(func, box, tol):
+        seen.append((func, box, tol))
+        return 1.0, 1.0, 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(negativity, "_adaptive_eta", spy)
+        eta_grid_damped(n, lam, tol)
+    return seen[0]
+
+
+def _counted(func):
+    """func wrapped to count its calls and the points it is asked for."""
+    count = {"calls": 0, "points": 0}
+
+    def wrapped(Q, P):
+        count["calls"] += 1
+        count["points"] += np.broadcast(Q, P).size
+        return func(Q, P)
+
+    return wrapped, count
+
+
+_REPLAY_CASES = (
+    [(n, lam, 1e-3) for n in range(11) for lam in (0.6, -0.6)]
+    + [(n, lam, 1e-3 / 3) for n in (1, 2, 3)
+       for lam in (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9)]
+    + [(n, 0.6, 3e-4) for n in range(6)])
+
+
+@pytest.mark.parametrize("n, lam, tol", _REPLAY_CASES)
+def test_adaptive_eta_is_bitwise_the_greedy_loop(n, lam, tol):
+    # n = 8 at lambda = +-0.6, tol 1e-3 is the early stop: a few turns only
+    func, box, tol = _damped_quadrature(n, lam, tol)
+    assert negativity._adaptive_eta(func, box, tol) == \
+        adaptive_eta_greedy(func, box, tol)
+
+
+def test_adaptive_eta_rescaled_callable_is_bitwise_the_greedy_loop():
+    dp = DampedParams(0.3, 1)
+    box = damped_box(1, 0.3)
+
+    def func(Q, P):
+        return 2.5 * damped_wigner_values(dp, Q, P)
+
+    assert negativity._adaptive_eta(func, box, 1e-5) == \
+        adaptive_eta_greedy(func, box, 1e-5)
+
+
+def test_adaptive_eta_panel_budget_matches_the_greedy_loop(monkeypatch):
+    func, box, tol = _damped_quadrature(3, 0.6, 1e-3)
+    counted, count = _counted(func)
+    adaptive_eta_greedy(counted, box, tol)
+    turns = count["calls"] - 2  # the root costs two calls
+    assert turns > 1
+    # the last turn pops with 1 + 3 (turns - 1) panels; a budget one below
+    # that raises in both loops, a budget equal to it in neither
+    monkeypatch.setattr(negativity, "_MAX_PANELS", 1 + 3 * (turns - 1))
+    assert negativity._adaptive_eta(func, box, tol) == \
+        adaptive_eta_greedy(func, box, tol)
+    monkeypatch.setattr(negativity, "_MAX_PANELS", 3 * (turns - 1))
+    for loop in (negativity._adaptive_eta, adaptive_eta_greedy):
+        with pytest.raises(ConvergenceError):
+            loop(func, box, tol)
+
+
+def test_adaptive_eta_batches_func_calls():
+    func, box, tol = _damped_quadrature(10, 0.6, 1e-3)
+    batched, new = _counted(func)
+    greedy, old = _counted(func)
+    negativity._adaptive_eta(batched, box, tol)
+    adaptive_eta_greedy(greedy, box, tol)
+    assert 3 * new["calls"] <= old["calls"]
+    assert new["points"] <= 1.15 * old["points"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "grid quadrature stops too early: the |refined - coarse| estimate of "
+    "_adaptive_eta misses a nodal line that both GL8 levels miss alike, "
+    "so eta(8) at lambda = +-0.6 is 0.034 off with err_estimate 3.8e-4"))
+def test_eta_grid_n8_within_its_error_estimate():
+    radial = eta_radial(8).eta
+    for lam in (0.6, -0.6):
+        rec = eta_grid_damped(8, lam, 1e-3)
+        assert abs(rec.eta - radial) <= rec.err_estimate
 
 
 def test_eta_grid_box_too_small():
