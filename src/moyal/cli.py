@@ -95,6 +95,9 @@ def cmd_wigner(args, parser) -> int:
     _validate_model_args(args, parser)
     if not args.out:
         parser.error("--out is required for wigner export")
+    if args.out == "-" and args.model == "helium":
+        parser.error("--out - takes one file; helium writes two")
+    out = sys.stdout if args.out == "-" else args.out
     spec = _grid_spec(args)
     Q, P = spec.meshgrid()
     common = {"model": args.model, "normalization": "unit-integral"}
@@ -107,13 +110,13 @@ def cmd_wigner(args, parser) -> int:
             print(f"note: {warnings[0]}", file=sys.stderr)
             del common["normalization"]
         vals = damped_wigner_values(DampedParams(args.lam, args.n), Q, P)
-        write_grid_csv(GridField(spec, vals, 1.0, warnings), args.out,
+        write_grid_csv(GridField(spec, vals, 1.0, warnings), out,
                        {**common, "n": args.n, "lambda": args.lam})
     elif args.model == "harmonic":
         vals = harmonic_wigner_values(args.n, Q, P, args.mass, args.omega,
                                       args.hbar)
         field = GridField(spec, vals, args.hbar)
-        write_grid_csv(field, args.out,
+        write_grid_csv(field, out,
                        {**common, "n": args.n, "m": args.mass,
                         "omega": args.omega, "hbar": args.hbar})
     else:
@@ -228,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("wigner", help="export a Wigner function grid as CSV")
     _add_model_flags(pw)
     _add_grid_flags(pw)
-    pw.add_argument("--out", required=False)
+    pw.add_argument("--out", required=False,
+                    help="CSV path; '-' writes to standard output (not for "
+                         "helium, which writes <stem>_u and <stem>_v)")
 
     ps = sub.add_parser("spectrum", help="emit energy levels as JSON")
     _add_model_flags(ps)

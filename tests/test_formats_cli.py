@@ -1,15 +1,21 @@
 import io
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from moyal import negativity
+from moyal import formats, negativity
 from moyal.cli import main
-from moyal.formats import read_grid_csv, records_to_json, write_grid_csv
+from moyal.formats import (_FMT, _format_e16, read_grid_csv, records_to_json,
+                           write_grid_csv)
 from moyal.grid import GridField, GridSpec, sample
 from moyal.models import DampedParams, damped_wigner, damped_wigner_values
 from moyal.negativity import (damped_box, eta_radial, lambda_scan,
@@ -78,6 +84,112 @@ def test_grid_csv_bytes_match_per_value_oracle(is_complex, tmp_path):
     assert buf.getvalue() == text
 
 
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, 1e16, 1e17, 9.999999999999999e16,
+            1.00000762939453125, 0.5, 1e-5, 1e100, 123.0]
+
+
+@given(st.one_of(st.floats(), st.sampled_from(_SPECIAL)))
+def test_format_e16_scalar_matches_python(x):
+    assert _format_e16(x) == [_FMT.format(x)]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)),
+                max_size=40))
+def test_format_e16_array_matches_python(xs):
+    assert _format_e16(np.array(xs, dtype=float)) == [_FMT.format(x)
+                                                      for x in xs]
+
+
+def _hard_doubles():
+    rng = np.random.default_rng(20240811)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    sub = rng.integers(0, 2 ** 52, 50_000, dtype=np.uint64)
+    # +-39 ulps around every power of ten 1e-323 .. 1e308
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = (p10.view(np.int64)[:, None] + np.arange(-39, 40)).ravel()
+    # the doubles nearest to 18-digit decimals ending in 5
+    digits = rng.integers(10 ** 16, 10 ** 17, 20_000).tolist()
+    exps = rng.integers(-320, 300, 20_000).tolist()
+    near_ties = [float(f"{d}5e{e}") for d, e in zip(digits, exps)]
+    # exact ties: odd a / 2^(17 - E) in [10^E, 10^(E + 1)) has 17 - E
+    # decimals, the last one a 5; a < 2^53 for E <= 14
+    ties = [(rng.integers(10 ** E * 2 ** (17 - E), 10 ** (E + 1)
+                          * 2 ** (17 - E), 1000) | 1) / 2.0 ** (17 - E)
+            for E in range(15)]
+    return np.concatenate([
+        bits.view(np.float64), sub.view(np.float64), -sub.view(np.float64),
+        near[near > 0].view(np.float64), -near[near > 0].view(np.float64),
+        near_ties, np.concatenate(ties),
+        rng.integers(-2 ** 62, 2 ** 62, 20_000).astype(np.float64)])
+
+
+def test_format_e16_matches_python_on_hard_families():
+    x = _hard_doubles()
+    got = _format_e16(x)
+    want = [_FMT.format(v) for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+    assert _format_e16(np.array([])) == []
+
+
+def test_format_e16_formats_export_fields_without_python(monkeypatch):
+    # the one-by-one route is for non-finite values and rounding ties only
+    calls = []
+
+    class Counting:
+        def format(self, x):
+            calls.append(x)
+            return "{:.16e}".format(x)
+
+    monkeypatch.setattr(formats, "_FMT", Counting())
+    spec = GridSpec(*damped_box(10, 0.9), 101, 101)
+    vals = damped_wigner_values(DampedParams(0.6, 10), *spec.meshgrid())
+    got = _format_e16(vals.real)
+    assert calls == [] and got == ["{:.16e}".format(v)
+                                   for v in vals.real.ravel().tolist()]
+
+
+@pytest.mark.parametrize("block", [5, 60])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_grid_csv_blocks_match_per_value_oracle(is_complex, block,
+                                                monkeypatch):
+    # rows wider than a block, and blocks whose row count leaves a remainder
+    monkeypatch.setattr(formats, "_BLOCK_VALUES", block)
+    field = _awkward_field(is_complex)
+    buf = io.StringIO()
+    write_grid_csv(field, buf, {"model": "harmonic"})
+    assert buf.getvalue() == grid_csv_text(field, {"model": "harmonic"})
+
+
+@pytest.mark.parametrize("nq,np_", [(20, 301), (8, 2100)])
+def test_grid_csv_default_blocks_match_per_value_oracle(nq, np_):
+    # 6 rows of 301 per block (20 = 6 + 6 + 6 + 2), and rows of 2100 > 2048
+    spec = GridSpec(-4.0, 4.0, -5.0, 5.0, nq, np_)
+    Q, P = spec.meshgrid()
+    field = GridField(spec, np.cos(Q * P) * np.exp(-(Q ** 2 + P ** 2) / 3))
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    assert buf.getvalue() == grid_csv_text(field)
+
+
+def test_grid_csv_writer_streams_blocks(tmp_path):
+    # formatting the whole 601^2 field at once allocates ~150 MB; a block of
+    # rows at a time stays near the 2.9 MB of the complex-value check
+    spec = GridSpec(-3.0, 3.0, -3.0, 3.0, 601, 601)
+    Q, P = spec.meshgrid()
+    field = GridField(spec, np.cos(Q * P) * np.exp(-(Q ** 2 + P ** 2) / 4))
+    del Q, P
+    tracemalloc.start()
+    try:
+        write_grid_csv(field, str(tmp_path / "w.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_read_grid_csv_matches_line_oracle(is_complex, tmp_path):
     field = _awkward_field(is_complex)
@@ -122,6 +234,60 @@ def test_read_grid_csv_errors(tmp_path):
     ragged = lines[:-3] + [f"{q},{p}\n"] + lines[-2:]
     with pytest.raises(ValueError):
         read_grid_csv(io.StringIO("".join(ragged)))
+    # a header without the grid keys, or no header at all, names what lacks;
+    # numpy's empty-input warning is not reached
+    header = [line for line in lines if line.startswith("#")]
+    rows = lines[len(header):]
+    no_grid = [line for line in header if "qmin=" not in line]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^grid CSV header lacks qmin, "
+                                             "qmax, pmin, pmax, nq, np$"):
+            read_grid_csv(io.StringIO("".join(no_grid + rows)))
+        with pytest.raises(ValueError, match="^grid CSV header lacks qmin, "
+                                             "qmax, pmin, pmax, nq, np$"):
+            read_grid_csv(io.StringIO(""))
+        partial = [line.replace(" np=9", "") for line in header]
+        with pytest.raises(ValueError, match="^grid CSV header lacks np$"):
+            read_grid_csv(io.StringIO("".join(partial + rows)))
+
+
+def _rewrite_rows(text, rows_fn):
+    lines = text.splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    return "".join(header + rows_fn(lines[len(header):]))
+
+
+def test_read_grid_csv_rejects_rows_off_the_grid():
+    spec = GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
+    field = sample(damped_wigner(DampedParams(0.4, 2)), spec)
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    text = buf.getvalue()
+    match = "^q,p columns do not match the declared grid$"
+    # p-major rows of a square grid: same row count and the same node set
+    transposed = _rewrite_rows(text, lambda rows: [
+        rows[j * 9 + i] for i in range(9) for j in range(9)])
+    with pytest.raises(ValueError, match=match):
+        read_grid_csv(io.StringIO(transposed))
+
+    def shift_q(rows, i, q):
+        rows[i] = f"{q!r}," + rows[i].split(",", 1)[1]
+        return rows
+
+    with pytest.raises(ValueError, match=match):
+        read_grid_csv(io.StringIO(_rewrite_rows(
+            text, lambda rows: shift_q(rows, 40, 9.0))))
+    q0 = float(spec.qs[4])
+    for bad in (q0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match=match):
+            read_grid_csv(io.StringIO(_rewrite_rows(
+                text, lambda rows: shift_q(rows, 40, bad))))
+    # rounding in the last digits of q is within the 1e-12 tolerance
+    back, _ = read_grid_csv(io.StringIO(_rewrite_rows(
+        text, lambda rows: shift_q(rows, 40, q0 + 1e-14))))
+    assert back.values.tobytes() == read_grid_csv(
+        io.StringIO(text))[0].values.tobytes()
 
 
 def test_records_json_deterministic():
@@ -214,6 +380,27 @@ def test_cli_wigner_helium_sectors(tmp_path):
         total = np.trapezoid(np.trapezoid(field.values.real, dx=field.spec.dp),
                              dx=field.spec.dq)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("model", [["damped", "--lambda", "0.3"],
+                                   ["harmonic", "--hbar", "0.5"]])
+def test_cli_wigner_stdout_matches_file(model, tmp_path, capsys):
+    args = ["wigner", "--model", *model, "--n", "2", "--nq", "24",
+            "--np", "17"]
+    assert main(args + ["--out", str(tmp_path / "w.csv")]) == 0
+    capsys.readouterr()
+    assert main(args + ["--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (tmp_path / "w.csv").read_bytes()
+    assert not (tmp_path / "-").exists() and not Path("-").exists()
+
+
+def test_cli_wigner_helium_stdout_is_a_usage_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["wigner", "--model", "helium", "--xi", "0.1", "--out", "-"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_wigner_deterministic_bytes(tmp_path):
