@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -121,14 +122,13 @@ def cmd_wigner(args, parser) -> int:
                         "omega": args.omega, "hbar": args.hbar})
     else:
         params = HeliumParams(args.mass, args.omega, args.xi, args.hbar)
-        stem, dot, ext = args.out.rpartition(".")
-        if not dot:
-            stem, ext = args.out, "csv"
+        # the extension of the file name, not of a directory on its path
+        stem, ext = os.path.splitext(args.out)
         for sector, nn, om in (("u", args.nu, params.omega_u),
                                ("v", args.nv, params.omega_v)):
             vals = harmonic_wigner_values(nn, Q, P, params.m, om, params.hbar)
             field = GridField(spec, vals, params.hbar)
-            write_grid_csv(field, f"{stem}_{sector}.{ext}",
+            write_grid_csv(field, f"{stem}_{sector}{ext or '.csv'}",
                            {**common, "sector": sector, "n": nn,
                             "xi": args.xi, "m": params.m,
                             "omega": params.omega, "hbar": params.hbar})

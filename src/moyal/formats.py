@@ -201,8 +201,12 @@ def write_grid_csv(field: GridField, target, metadata: dict = None) -> None:
     time."""
     spec = field.spec
     vals = field.values
-    is_complex = bool(np.abs(vals.imag).max()
-                      > 1e-12 * max(np.abs(vals).max(), 1e-300))
+    # max |W| over blocks of rows and max |Im W| from the extremes of Im W:
+    # no grid-sized temporaries
+    step = max(1, _BLOCK_VALUES // spec.np)
+    top = max(np.abs(vals[i:i + step]).max() for i in range(0, spec.nq, step))
+    im = vals.imag
+    is_complex = bool(max(im.max(), -im.min()) > 1e-12 * max(top, 1e-300))
     # one row template "Q,p_j,%s[,%s]" over j, the p strings fixed once; each
     # block of rows puts its q strings in for Q and its W strings in for %s
     node = "Q,{}" + (",%s,%s\n" if is_complex else ",%s\n")

@@ -175,8 +175,8 @@ def test_grid_csv_default_blocks_match_per_value_oracle(nq, np_):
 
 
 def test_grid_csv_writer_streams_blocks(tmp_path):
-    # formatting the whole 601^2 field at once allocates ~150 MB; a block of
-    # rows at a time stays near the 2.9 MB of the complex-value check
+    # formatting the whole 601^2 field at once allocates ~150 MB, and taking
+    # |W| of the whole field 2.9 MB; a block of rows at a time stays < 1 MB
     spec = GridSpec(-3.0, 3.0, -3.0, 3.0, 601, 601)
     Q, P = spec.meshgrid()
     field = GridField(spec, np.cos(Q * P) * np.exp(-(Q ** 2 + P ** 2) / 4))
@@ -187,7 +187,7 @@ def test_grid_csv_writer_streams_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -380,6 +380,22 @@ def test_cli_wigner_helium_sectors(tmp_path):
         total = np.trapezoid(np.trapezoid(field.values.real, dx=field.spec.dp),
                              dx=field.spec.dq)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("out,files", [
+    ("hel.csv", ["hel_u.csv", "hel_v.csv"]),
+    ("hel", ["hel_u.csv", "hel_v.csv"]),
+    ("run.v2/hel", ["run.v2/hel_u.csv", "run.v2/hel_v.csv"]),
+    ("run.v2/hel.dat", ["run.v2/hel_u.dat", "run.v2/hel_v.dat"])])
+def test_cli_wigner_helium_sector_file_names(out, files, tmp_path):
+    # the sector goes before the file name's extension, never into a
+    # directory name
+    (tmp_path / "run.v2").mkdir()
+    assert main(["wigner", "--model", "helium", "--xi", "0.1", "--nq", "8",
+                 "--np", "8", "--out", str(tmp_path / out)]) == 0
+    written = sorted(str(f.relative_to(tmp_path))
+                     for f in tmp_path.rglob("*") if f.is_file())
+    assert written == files
 
 
 @pytest.mark.parametrize("model", [["damped", "--lambda", "0.3"],
