@@ -8,12 +8,20 @@ Expanding the star-product exponential against a polynomial symbol s gives
 a finite sum because s has finite degree.  This is the shifted-argument
 (Bopp) form of left multiplication, q -> q + (i hbar/2) d_p and
 p -> p - (i hbar/2) d_q; right multiplication flips the sign of hbar.
+
+On a function in a frame, f = F o S (see ``moyal.polygauss``), the operator
+acts in the frame variables: s * (F o S) = ((s o S^-1) * F) o S, since the
+star product commutes with a linear map of unit determinant.  So s is
+composed with S^-1 once per application, and the derivatives are taken
+along the frame variables, where F is short.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+
+import numpy as np
 
 from .errors import ParameterMismatchError
 from .polygauss import PolyGauss
@@ -22,11 +30,13 @@ from .symbols import PolynomialSymbol
 
 @dataclass(frozen=True)
 class BoppOperator:
-    """Finite list of (coefficient polynomial, dq-order, dp-order) triples."""
+    """Finite list of (coefficient polynomial, dq-order, dp-order) triples,
+    built from the symbol s."""
 
     terms: tuple
     side: str
     hbar: float
+    symbol: PolynomialSymbol
 
     @property
     def order(self) -> int:
@@ -51,7 +61,27 @@ def bopp_from_symbol(s: PolynomialSymbol, side: str, hbar: float) -> BoppOperato
             c = (0.5j * h) ** (j + k) * (-1.0) ** k / (factorial(j) * factorial(k))
             # the j q-derivatives of s pair with p-derivatives of the operand
             triples.append((ds * c, k, j))
-    return BoppOperator(tuple(triples), side, float(hbar))
+    return BoppOperator(tuple(triples), side, float(hbar), s)
+
+
+def _apply_terms(terms: tuple, f: PolyGauss) -> PolyGauss:
+    """Sum of coefficient times derivative of f over the triples."""
+    derivs = {(0, 0): f}
+
+    def derivative(dq, dp):
+        # q-derivatives first; each one is taken once for all the terms
+        if (dq, dp) not in derivs:
+            derivs[dq, dp] = (derivative(dq, dp - 1).diff("p") if dp
+                              else derivative(dq - 1, 0).diff("q"))
+        return derivs[dq, dp]
+
+    out = None
+    for coeff, dq, dp in terms:
+        g = derivative(dq, dp).mul_symbol(coeff)
+        out = g if out is None else out + g
+    if out is None:
+        return PolyGauss({}, f.shape, f.hbar, f.frame)
+    return out
 
 
 def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
@@ -59,15 +89,10 @@ def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
     if abs(op.hbar - f.hbar) > 1e-15:
         raise ParameterMismatchError(
             f"operator hbar {op.hbar} does not match function hbar {f.hbar}")
-    out = None
-    for coeff, dq, dp in op.terms:
-        g = f
-        for _ in range(dq):
-            g = g.diff("q")
-        for _ in range(dp):
-            g = g.diff("p")
-        g = g.mul_symbol(coeff)
-        out = g if out is None else out + g
-    if out is None:
-        return PolyGauss({}, f.shape, f.hbar, f.frame)
-    return out
+    if f.frame is None:
+        return _apply_terms(op.terms, f)
+    (a, b), (c, d) = f.frame
+    s = op.symbol.linear_map(np.array([[d, -b], [-c, a]]))
+    out = _apply_terms(bopp_from_symbol(s, op.side, op.hbar).terms,
+                       PolyGauss(f.terms, f.shape, f.hbar))
+    return PolyGauss(out.terms, out.shape, f.hbar, f.frame)

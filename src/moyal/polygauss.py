@@ -17,10 +17,12 @@ raw monomials.
 The class is closed under differentiation, multiplication by polynomials,
 star products, full-plane integration and marginals, which is what makes
 every model in this package exactly computable.  Integrals, marginals and
-star products all take the mean of a polynomial under a Gaussian, through
-one kernel (``moyal.symbols._smooth`` and ``_substitute``), and all run in
-the frame; only operations between two different frames first expand to
-the identity frame (``PolyGauss.lab``).
+star products all take the mean of a polynomial under a Gaussian: they
+smooth with one heat-operator kernel (``moyal.symbols._smooth``), then
+integrals and marginals substitute the affine mean with
+``moyal.symbols._substitute`` and star products contract power tables
+(``moyal.star``).  All run in the frame; only operations between two
+different frames first expand to the identity frame (``PolyGauss.lab``).
 
 A function is normalizable when Re(A) is positive definite; integration
 requires that.  All values are immutable after construction and every
@@ -184,7 +186,7 @@ class PolyGauss:
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         self._check_compatible(other)
         f, g = self._in_common_frame(other)
-        if not f.shape.allclose(g.shape):
+        if f.shape is not g.shape and not f.shape.allclose(g.shape):
             raise ParameterMismatchError(
                 "cannot add functions with different Gaussian shapes")
         out = dict(f.terms)

@@ -13,12 +13,14 @@ from .symbols import PolynomialSymbol
 HALTON_SKIP = 20
 
 
-def _radical_inverse(n: int, base: int) -> float:
-    inv = 0.0
+def _radical_inverse(n: np.ndarray, base: int) -> np.ndarray:
+    """Base-b digits of each n mirrored about the radix point, digit by
+    digit as floats; once a number runs out of digits it adds zeros."""
+    inv = np.zeros(n.shape)
     denom = 1.0
-    while n > 0:
+    while n.any():
         denom *= base
-        n, digit = divmod(n, base)
+        n, digit = np.divmod(n, base)
         inv += digit / denom
     return inv
 
@@ -26,14 +28,13 @@ def _radical_inverse(n: int, base: int) -> float:
 def halton_points(n_samples: int, box, skip: int = HALTON_SKIP) -> np.ndarray:
     """Low-discrepancy (Halton, bases 2 and 3) points in a rectangle.
 
-    box is (qmin, qmax, pmin, pmax); returns an (n_samples, 2) array.
+    box is (qmin, qmax, pmin, pmax); returns a new (n_samples, 2) array.
     """
     qmin, qmax, pmin, pmax = box
+    t = np.arange(skip, skip + n_samples)
     pts = np.empty((n_samples, 2))
-    for i in range(n_samples):
-        t = i + skip
-        pts[i, 0] = qmin + (qmax - qmin) * _radical_inverse(t, 2)
-        pts[i, 1] = pmin + (pmax - pmin) * _radical_inverse(t, 3)
+    pts[:, 0] = qmin + (qmax - qmin) * _radical_inverse(t, 2)
+    pts[:, 1] = pmin + (pmax - pmin) * _radical_inverse(t, 3)
     return pts
 
 
@@ -49,8 +50,9 @@ def eigen_residual(H: PolynomialSymbol, f: PolyGauss, E: float,
     Hf = apply(bopp_from_symbol(H, "left", f.hbar), f)
     pts = halton_points(n_samples, sample_box)
     q, p = pts[:, 0], pts[:, 1]
-    num = np.abs(Hf.evaluate(q, p) - E * f.evaluate(q, p))
-    den = np.abs(f.evaluate(q, p))
+    fx = f.evaluate(q, p)
+    num = np.abs(Hf.evaluate(q, p) - E * fx)
+    den = np.abs(fx)
     peak = den.max()
     if peak == 0.0:
         return float("inf")

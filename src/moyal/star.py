@@ -17,17 +17,26 @@ eigenvalues of M, the continuous branch for Re(M) >= 0; this covers the
 Fresnel limit where one factor is a plain polynomial (A or B = 0).
 
 Polynomial prefactors ride on the same integral.  The product of the two
-polynomials, P(y, z), is a polynomial in four variables, and the integrand
-is P(x + u, x + v) times that Gaussian in w = (u, v).  After normalization
-the polynomial part is therefore the mean of P over a Gaussian of
-covariance K = M^-1 centred at the affine point L(x) = W x + w0:
+polynomials, P(y, z) = F(y) G(z), is a polynomial in four variables, and
+the integrand is P(x + u, x + v) times that Gaussian in w = (u, v).  After
+normalization the polynomial part is therefore the mean of P over a
+Gaussian of covariance K = M^-1 centred at the affine point L(x) = W x + w0:
 
     E[P] = [exp(d^T K d / 2) P](L(x)).
 
-So the coefficients come from one heat-operator smoothing of the outer
-product of the two coefficient arrays followed by one affine substitution
-(``moyal.symbols._smooth`` and ``_substitute``), the same kernel that
-integrals and marginals use.
+The smoothing is the heat operator of ``moyal.symbols._smooth`` on the
+outer product of the two coefficient arrays, the kernel that integrals and
+marginals use.  The substitution splits by operand: rows 0-1 of W and w0
+are f's affine forms l0, l1 and rows 2-3 are g's l2, l3, and smoothing only
+lowers exponents, so the smoothed array S keeps f's part within total
+degree deg f and g's within deg g.  With Y the table of the powers
+l0^a l1^b (a + b <= deg f) as polynomials in x, and Z that of l2^c l3^d,
+
+    R(x) = sum S[ab, cd] (l0^a l1^b)(x) (l2^c l3^d)(x),
+
+whose coefficients are the entries of the small product Y^T S Z, added
+up over the exponent sums of their two x-monomials.  numpy's own loop
+forms the product, so the result does not depend on the BLAS thread count.
 
 Operands in the same frame S (see ``moyal.polygauss``) are starred in that
 frame and the result keeps it, since (F o S) * (G o S) = (F * G) o S for a
@@ -37,11 +46,13 @@ expanded to the identity frame.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import StarSingularError
 from .polygauss import PolyGauss, QuadForm
-from .symbols import _dense, _smooth, _sparse, _substitute
+from .symbols import _dense, _smooth, _sparse
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _S = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
@@ -74,15 +85,89 @@ def _star_system(shape1: QuadForm, shape2: QuadForm, hbar: float):
     return prefactor, out_shape, W, w0, Minv
 
 
+@lru_cache(maxsize=256)
+def _triangle(n0: int, n1: int, deg: int):
+    """Exponent pairs (a, b) with a < n0, b < n1 and a + b <= deg, in C
+    order, and their flat positions in an n0 x n1 array (read-only)."""
+    a, b = np.nonzero(np.add.outer(np.arange(n0), np.arange(n1)) <= deg)
+    out = a, b, a * n1 + b
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def _product_index(deg_f: int, deg_g: int) -> np.ndarray:
+    """For x-monomials i of degree <= deg_f and j of degree <= deg_g, the
+    flat position of x^(i+j) in a square array of side deg_f + deg_g + 1
+    (read-only)."""
+    fi, fj, _ = _triangle(deg_f + 1, deg_f + 1, deg_f)
+    gi, gj, _ = _triangle(deg_g + 1, deg_g + 1, deg_g)
+    idx = np.add.outer(fi, gi) * (deg_f + deg_g + 1) + np.add.outer(fj, gj)
+    idx.flags.writeable = False
+    return idx
+
+
+def _times_affine(U: np.ndarray, l, c) -> np.ndarray:
+    """(c + l[0] x0 + l[1] x1) times coefficient arrays over the last two
+    axes, cut to the same size."""
+    out = c * U
+    out[..., 1:, :] += l[0] * U[..., :-1, :]
+    out[..., :, 1:] += l[1] * U[..., :, :-1]
+    return out
+
+
+def _power_table(L, w0, shape, deg: int) -> np.ndarray:
+    """Rows (l0^a l1^b)(x), with l_i(x) = L[i].x + w0[i], for the exponent
+    pairs of ``_triangle(*shape, deg)``; columns are the coefficients of
+    the x-monomials of total degree <= deg, in ``_triangle`` order."""
+    T = np.zeros((deg + 1,) * 4, dtype=complex)   # T[a, b, i, j]
+    T[0, 0, 0, 0] = 1.0
+    for b in range(1, deg + 1):
+        T[0, b] = _times_affine(T[0, b - 1], L[1], w0[1])
+    for a in range(1, deg + 1):
+        T[a, :deg + 1 - a] = _times_affine(T[a - 1, :deg + 1 - a], L[0], w0[0])
+    ra, rb, _ = _triangle(*shape, deg)
+    ci, cj, _ = _triangle(deg + 1, deg + 1, deg)
+    return T[ra[:, None], rb[:, None], ci, cj]
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for complex matrices as one real einsum, [Re A, Im A] times
+    [[Re B, Im B], [-Im B, Re B]].  numpy's own loop sums in a fixed order;
+    a threaded BLAS splits the work by its thread count, and the last bits
+    of its result move with it."""
+    k, n = B.shape
+    BB = np.empty((2 * k, 2 * n))
+    BB[:k, :n] = BB[k:, n:] = B.real
+    BB[:k, n:] = B.imag
+    BB[k:, :n] = -B.imag
+    C = np.einsum("ij,jk->ik", np.concatenate([A.real, A.imag], axis=1), BB,
+                  optimize=False)
+    out = np.empty((A.shape[0], n), dtype=complex)
+    out.real, out.imag = C[:, :n], C[:, n:]
+    return out
+
+
 def polygauss_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     """Exact star product of two polynomial-Gaussians.
 
-    Smoothing plus substitution as described in the module docstring; the
-    result polynomial degree is at most deg(f) + deg(g).
+    Smoothing plus the power-table contraction described in the module
+    docstring; the result polynomial degree is at most deg(f) + deg(g).
     """
     f._check_compatible(g)
     f, g = f._in_common_frame(g)
     pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
-    P = np.multiply.outer(_dense(f.terms, 2), _dense(g.terms, 2))
-    R = _substitute(_smooth(P, K), W, w0)
-    return PolyGauss(_sparse(pref * R), shape, f.hbar, f.frame)
+    F, G = _dense(f.terms, 2), _dense(g.terms, 2)
+    deg_f, deg_g = max(f.degree, 0), max(g.degree, 0)
+    S = _smooth(np.multiply.outer(F, G), K).reshape(F.size, G.size)
+    S = S[_triangle(*F.shape, deg_f)[2][:, None], _triangle(*G.shape, deg_g)[2]]
+    Y = _power_table(W[:2], w0[:2], F.shape, deg_f)
+    Z = _power_table(W[2:], w0[2:], G.shape, deg_g)
+    Q = _matmul(_matmul(Y.T, S), Z)
+    idx, side = _product_index(deg_f, deg_g).ravel(), deg_f + deg_g + 1
+    R = np.empty(side * side, dtype=complex)
+    R.real = np.bincount(idx, Q.real.ravel(), side * side)
+    R.imag = np.bincount(idx, Q.imag.ravel(), side * side)
+    return PolyGauss(_sparse(pref * R.reshape(side, side)), shape, f.hbar,
+                     f.frame)

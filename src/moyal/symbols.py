@@ -10,6 +10,7 @@ Instances are treated as immutable; every operation returns a new object.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, perm
 
 import numpy as np
@@ -44,7 +45,10 @@ def convolve_coeffs(c1: dict, c2: dict) -> dict:
 # A coefficient array C has one axis per variable, C[alpha] multiplying
 # y^alpha.  sum_alpha C_alpha d_J^alpha exp(L.J + J^T K J / 2) at J = 0 is the
 # mean of P(y) under a Gaussian of mean L and covariance K, which equals
-# [exp(d^T K d / 2) P](L): smooth, then substitute the mean.
+# [exp(d^T K d / 2) P](L): smooth, then substitute the mean.  Star products
+# smooth here and substitute through power tables of their operands' affine
+# forms (``moyal.star``); ``_substitute`` is the route for integrals,
+# marginals and frames (``linear_map``).
 
 
 def _dense(coeffs: dict, ndim: int) -> np.ndarray:
@@ -60,14 +64,18 @@ def _dense(coeffs: dict, ndim: int) -> np.ndarray:
 
 def _sparse(C: np.ndarray) -> dict:
     """The nonzero entries of a coefficient array, keyed by exponent tuples."""
-    return {tuple(int(i) for i in idx): C[tuple(idx)] for idx in np.argwhere(C != 0)}
+    idx = np.nonzero(C)
+    return dict(zip(zip(*(i.tolist() for i in idx)), C[idx].tolist()))
 
 
+@lru_cache(maxsize=1024)
 def _falling(n: int, s: int, trailing: int) -> np.ndarray:
     """a! / (a - s)! for a = s .. n-1, shaped to broadcast along an axis that
-    has `trailing` axes after it."""
-    return np.array([perm(a, s) for a in range(s, n)], dtype=float).reshape(
+    has `trailing` axes after it (read-only)."""
+    out = np.array([perm(a, s) for a in range(s, n)], dtype=float).reshape(
         (-1,) + (1,) * trailing)
+    out.flags.writeable = False
+    return out
 
 
 def _smooth(C: np.ndarray, K) -> np.ndarray:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the package's closed-form code paths:
 scipy quadrature, series summation, an interlacing-bracket root walk, an
 exact piecewise antiderivative for the negativity integral, the
 one-panel-per-step greedy loop of the adaptive eta quadrature, a star
-product by the source-differentiation recursion, element-at-a-time grid
-star sums, a Moyal bracket that forms both grid star products, and a
-per-value CSV writer and line reader.
+product by the source-differentiation recursion and one by a Horner
+substitution of all four variables, element-at-a-time grid star sums, a
+Moyal bracket that forms both grid star products, a per-value CSV writer
+and line reader, and a per-point Halton loop.
 """
 
 import io
@@ -21,6 +22,7 @@ from moyal.grid import (GridField, _checked_decay, _decay_warnings, _forward,
 from moyal.models import laguerre_pair
 from moyal.polygauss import PolyGauss
 from moyal.star import _star_system
+from moyal.symbols import _dense, _smooth, _sparse, _substitute
 
 
 def quad2d(f, half: float, epsabs: float = 1e-11) -> float:
@@ -271,6 +273,18 @@ def polygauss_star_recursive(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     return PolyGauss(terms, shape, f.hbar, f.frame)
 
 
+def polygauss_star_horner(f: PolyGauss, g: PolyGauss) -> PolyGauss:
+    """Star product by smoothing and one Horner substitution of all four
+    variables (``moyal.symbols._substitute``) in place of the power-table
+    contraction of ``moyal.polygauss_star``."""
+    f._check_compatible(g)
+    f, g = f._in_common_frame(g)
+    pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
+    P = np.multiply.outer(_dense(f.terms, 2), _dense(g.terms, 2))
+    R = _substitute(_smooth(P, K), W, w0)
+    return PolyGauss(_sparse(pref * R), shape, f.hbar, f.frame)
+
+
 def star_numeric_loops(A: GridField, B: GridField, method: str) -> np.ndarray:
     """Grid star product values by a per-output-row loop over Fourier modes.
 
@@ -409,3 +423,24 @@ def read_grid_csv_lines(text: str):
     if int(meta.get("complex", "0")):
         return (data[:, 2] + 1j * data[:, 3]).reshape(shape), meta
     return data[:, 2].astype(complex).reshape(shape), meta
+
+
+def _radical_inverse_scalar(n: int, base: int) -> float:
+    inv = 0.0
+    denom = 1.0
+    while n > 0:
+        denom *= base
+        n, digit = divmod(n, base)
+        inv += digit / denom
+    return inv
+
+
+def halton_points_loop(n_samples: int, box, skip: int) -> np.ndarray:
+    """Halton points (bases 2 and 3) in a rectangle, one point at a time."""
+    qmin, qmax, pmin, pmax = box
+    pts = np.empty((n_samples, 2))
+    for i in range(n_samples):
+        t = i + skip
+        pts[i, 0] = qmin + (qmax - qmin) * _radical_inverse_scalar(t, 2)
+        pts[i, 1] = pmin + (pmax - pmin) * _radical_inverse_scalar(t, 3)
+    return pts

@@ -8,7 +8,10 @@ from moyal.grid import GridSpec, sample, star_numeric, tapered_sample
 from moyal.models import (DampedParams, annihilation_symbol, damped_energy,
                           damped_hamiltonian, damped_wigner,
                           oscillator_ground)
+from moyal.residual import HALTON_SKIP
 from moyal.symbols import PolynomialSymbol
+
+from oracles import halton_points_loop
 
 GAUSS = PolyGauss.gaussian(QuadForm(np.eye(2)), 1.0)
 
@@ -117,3 +120,42 @@ def test_eigen_residual_exact_pair():
 
     res = eigen_residual(oscillator_hamiltonian(), harmonic_wigner(0), 0.5)
     assert res <= 1e-12
+
+
+@pytest.mark.parametrize("n, box, skip", [
+    (200, (-6.0, 6.0, -6.0, 6.0), HALTON_SKIP),
+    (20, (-1.0, 1.0, -1.0, 1.0), HALTON_SKIP),
+    (1000, (-4.5, 3.25, -0.1, 7.7), 0),
+    (37, (0, 1, -2, 2), 12345),
+    (500, (0.1, 0.7, -0.3, 0.35), 7),
+    (1, (0.0, 1.0, 0.0, 1.0), 0),
+    (0, (0.0, 1.0, 0.0, 1.0), HALTON_SKIP)])
+def test_halton_points_bitwise_per_point_loop(n, box, skip):
+    got = halton_points(n, box, skip)
+    want = halton_points_loop(n, box, skip)
+    assert got.shape == (n, 2) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_halton_points_returns_a_fresh_writable_array():
+    box = (-6.0, 6.0, -6.0, 6.0)
+    a, b = halton_points(50, box), halton_points(50, box)
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    a[:] = 0.0
+    assert np.array_equal(halton_points(50, box), b)
+
+
+def test_framed_apply_matches_lab_expansion():
+    # on a framed state the operator acts in the frame variables; expanding
+    # the state to the identity frame first gives the same function
+    s = PolynomialSymbol({(1, 0): 0.3, (0, 2): 1.1, (1, 1): -0.4j, (3, 0): 0.2})
+    W = damped_wigner(DampedParams(0.5, 2))
+    pts = halton_points(60, (-3.0, 3.0, -3.0, 3.0))
+    for side in ("left", "right"):
+        op = bopp_from_symbol(s, side, 1.0)
+        got = apply(op, W)
+        assert np.array_equal(got.frame, W.frame)
+        want = apply(op, W.lab())
+        vals = want.evaluate(pts[:, 0], pts[:, 1])
+        assert np.abs(got.evaluate(pts[:, 0], pts[:, 1]) - vals).max() <= (
+            1e-12 * np.abs(vals).max())

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from moyal import PolyGauss, QuadForm, StarSingularError, integrate, polygauss_star
 from moyal.grid import GridSpec, grid_distance, sample, star_numeric
 from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
                           harmonic_wigner, oscillator_state)
 
-from oracles import polygauss_star_recursive
+from oracles import polygauss_star_horner, polygauss_star_recursive
 
 STD = QuadForm(np.eye(2))
 
@@ -179,3 +186,125 @@ def test_star_matches_source_recursion(f, g):
     got, want = polygauss_star(f, g), polygauss_star_recursive(f, g)
     assert got.shape.allclose(want.shape, tol=0.0)
     assert _coefficient_gap(got, want) <= 1e-12
+
+
+def _random_frame(rng):
+    """A real 2x2 matrix of determinant 1: a rotation times a squeeze."""
+    t, r = rng.uniform(0.0, np.pi), rng.uniform(0.4, 2.5)
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[c, -s], [s, c]]) @ np.diag([r, 1.0 / r])
+
+
+def _random_operand(rng, degree, sparse=False, frame=None, shape=None):
+    """A complex Gaussian with linear terms (so the affine point w0 of the
+    star system is nonzero) times a full, or a sparse, complex polynomial
+    of total degree `degree`."""
+    if shape is None:
+        aqq, app = rng.uniform(0.6, 1.4, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
+        aqp = complex(*rng.uniform(-0.25, 0.25, 2))
+        lq, lp = rng.uniform(-0.6, 0.6, 2) + 1j * rng.uniform(-0.6, 0.6, 2)
+        shape = QuadForm.from_coeffs(aqq, aqp, app, lq, lp, rng.uniform(-0.2, 0.2))
+    keys = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    if sparse:
+        # keep the top-degree term so the total degree stays `degree`
+        keys = [(degree, 0)] + [k for k in keys[:-1] if rng.uniform() < 0.4]
+    terms = {k: complex(*rng.uniform(-1.0, 1.0, 2)) for k in keys}
+    return PolyGauss(terms, shape, 1.0, frame)
+
+
+def _assert_matches_oracles(f, g, tol=1e-13):
+    got = polygauss_star(f, g)
+    for oracle in (polygauss_star_recursive, polygauss_star_horner):
+        want = oracle(f, g)
+        assert got.shape.allclose(want.shape, tol=0.0)
+        assert (got.frame is None) == (want.frame is None)
+        assert _coefficient_gap(got, want) <= tol, oracle.__name__
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(0, 5),
+       st.booleans(), st.sampled_from(["none", "shared", "mixed"]))
+def test_power_table_star_matches_both_oracles(seed, deg_f, deg_g, sparse, frames):
+    rng = np.random.RandomState(seed)
+    frame = None if frames == "none" else _random_frame(rng)
+    f = _random_operand(rng, deg_f, sparse, frame)
+    g = _random_operand(rng, deg_g, not sparse,
+                        None if frames == "mixed" else frame)
+    _assert_matches_oracles(f, g)
+
+
+@pytest.mark.parametrize("deg_f, deg_g, framed", [
+    (8, 8, False), (8, 3, True), (2, 8, False), (0, 8, True), (8, 0, False),
+    (0, 0, False)])
+def test_power_table_star_matches_both_oracles_to_degree_8(deg_f, deg_g, framed):
+    rng = np.random.RandomState(100 * deg_f + deg_g)
+    frame = _random_frame(rng) if framed else None
+    _assert_matches_oracles(_random_operand(rng, deg_f, frame=frame),
+                            _random_operand(rng, deg_g, frame=frame))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9])
+def test_power_table_star_framed_model_states(lam):
+    W = damped_wigner(DampedParams(lam, 4))
+    assert W.degree == 8 and W.frame is not None
+    _assert_matches_oracles(W, W)
+
+
+def test_power_table_star_mixed_frame_model_states():
+    # both operands are expanded to the identity frame first; at lam = 0.9
+    # that expansion, not the kernel, sets the gap (the two oracles differ
+    # from each other by 1.5e-11 there), so the mixed pair uses lam = 0.5
+    _assert_matches_oracles(damped_wigner(DampedParams(0.5, 4)),
+                            harmonic_wigner(2))
+
+
+def test_power_table_star_empty_operand():
+    rng = np.random.RandomState(3)
+    f = _random_operand(rng, 4)
+    empty = PolyGauss({}, f.shape, 1.0)
+    for a, b in ((f, empty), (empty, f), (empty, empty)):
+        got = polygauss_star(a, b)
+        assert got.terms == {}
+        assert got.shape.allclose(polygauss_star_recursive(a, b).shape, tol=0.0)
+        assert polygauss_star_horner(a, b).terms == {}
+
+
+@pytest.mark.parametrize("deg_poly, deg_other", [(0, 3), (3, 0), (2, 5), (5, 2)])
+def test_power_table_star_fresnel_operand(deg_poly, deg_other):
+    # a plain polynomial (zero quadratic form) on either side
+    rng = np.random.RandomState(10 * deg_poly + deg_other)
+    poly = _random_operand(rng, deg_poly, shape=QuadForm.zero())
+    other = _random_operand(rng, deg_other)
+    _assert_matches_oracles(poly, other)
+    _assert_matches_oracles(other, poly)
+
+
+_STAR_BYTES = """
+import sys
+import numpy as np
+from moyal import polygauss_star
+from moyal.models import DampedParams, damped_wigner, harmonic_wigner
+for W in (damped_wigner(DampedParams(0.9, 5)), harmonic_wigner(8)):
+    out = polygauss_star(W, W)
+    keys = sorted(out.terms)
+    sys.stdout.write(repr(keys) + "\\n")
+    sys.stdout.write(np.array([out.terms[k] for k in keys]).tobytes().hex() + "\\n")
+"""
+
+
+def test_star_product_bytes_do_not_depend_on_blas_threads():
+    # outputs are bit-identical from run to run, whatever the thread count
+    # of the BLAS library; harmonic n = 8 has matrices of a size where a
+    # threaded GEMM's result moves with it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", _STAR_BYTES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") == 4
+    assert outs[0] == outs[1]
