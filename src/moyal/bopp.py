@@ -19,6 +19,7 @@ along the frame variables, where F is short.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -28,15 +29,36 @@ from .polygauss import PolyGauss
 from .symbols import PolynomialSymbol
 
 
+def _triples(s: PolynomialSymbol, side: str, hbar: float) -> tuple:
+    """(coefficient polynomial, dq-order, dp-order) triples of s* or *s."""
+    h = hbar if side == "left" else -hbar
+    deg = max(s.degree, 0)
+    triples = []
+    for j in range(deg + 1):
+        for k in range(deg + 1 - j):
+            ds = s.derivative(dq=j, dp=k)
+            if not ds.coeffs:
+                continue
+            c = (0.5j * h) ** (j + k) * (-1.0) ** k / (factorial(j) * factorial(k))
+            # the j q-derivatives of s pair with p-derivatives of the operand
+            triples.append((ds * c, k, j))
+    return tuple(triples)
+
+
 @dataclass(frozen=True)
 class BoppOperator:
     """Finite list of (coefficient polynomial, dq-order, dp-order) triples,
-    built from the symbol s."""
+    built from the symbol s when first read."""
 
-    terms: tuple
     side: str
     hbar: float
     symbol: PolynomialSymbol
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The triples in the lab variables; apply on a framed function
+        builds its own in the frame variables instead."""
+        return _triples(self.symbol, self.side, self.hbar)
 
     @property
     def order(self) -> int:
@@ -50,18 +72,7 @@ def bopp_from_symbol(s: PolynomialSymbol, side: str, hbar: float) -> BoppOperato
         raise ValueError("side must be 'left' or 'right'")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    h = hbar if side == "left" else -hbar
-    deg = max(s.degree, 0)
-    triples = []
-    for j in range(deg + 1):
-        for k in range(deg + 1 - j):
-            ds = s.derivative(dq=j, dp=k)
-            if not ds.coeffs:
-                continue
-            c = (0.5j * h) ** (j + k) * (-1.0) ** k / (factorial(j) * factorial(k))
-            # the j q-derivatives of s pair with p-derivatives of the operand
-            triples.append((ds * c, k, j))
-    return BoppOperator(tuple(triples), side, float(hbar), s)
+    return BoppOperator(side, float(hbar), s)
 
 
 def _apply_terms(terms: tuple, f: PolyGauss) -> PolyGauss:
@@ -93,6 +104,6 @@ def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
         return _apply_terms(op.terms, f)
     (a, b), (c, d) = f.frame
     s = op.symbol.linear_map(np.array([[d, -b], [-c, a]]))
-    out = _apply_terms(bopp_from_symbol(s, op.side, op.hbar).terms,
+    out = _apply_terms(_triples(s, op.side, op.hbar),
                        PolyGauss(f.terms, f.shape, f.hbar))
     return PolyGauss(out.terms, out.shape, f.hbar, f.frame)

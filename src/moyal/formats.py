@@ -7,10 +7,20 @@ Complex-valued fields write `q,p,re_W,im_W` and set `complex=1` in the
 header.  Byte output is deterministic for a fixed field and metadata.
 The writer formats a block of whole q-rows (about _BLOCK_VALUES values) at
 a time with numpy, byte for byte as Python's '%.16e', and writes each block
-at once; q and p are formatted once per row and once per file.  The reader
-hands the rows after the header to numpy's CSV parser.  It rejects a header
-without the grid keys, and rows off the declared grid: a wrong row count,
-or a q or p column further than 1e-12 of its axis extent from the node.
+at once; q and p are formatted once per row and once per file.
+
+The reader converts a block of whole lines (about _READ_CHARS characters)
+at a time, exactly as float() would: a token of the '%.16e' shape gives its
+17 digits and exponent N, E to numpy, which forms N 10^(E - 16) in
+double-double from the writer's table of powers of ten and rounds it once.
+Tokens of another shape, products too near a rounding tie and results
+outside the normal range go to float() one by one.  Blank lines and whole
+'#' lines in the body are skipped.  Each block's q and p columns are checked
+against the nodes and its W column lands in the preallocated field, so no
+grid-sized array is made but the field itself.  The reader rejects a header
+without the grid keys, rows of another column count, and rows off the
+declared grid: a wrong row count, or a q or p column further than 1e-12 of
+its axis extent from the node.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -29,13 +38,23 @@ from .grid import GridField, GridSpec
 _FMT = "{:.16e}"
 # Values per formatted block of the CSV writer (whole q-rows, at least one).
 _BLOCK_VALUES = 2048
-# Decimal exponents k of the 10^k table: 16 - E for every finite double's
-# decimal exponent E (-324..308), with room for a one-off guess.
-_K_MIN, _K_MAX = -310, 345
+# Decimal exponents k of the 10^k table: 16 - E for the writer and E - 16 for
+# the reader, for every finite double's decimal exponent E (-324..308), with
+# room for the writer's one-off guess.
+_K_MIN, _K_MAX = -340, 345
 _E_MIN = -330
-# A scaled value this close to a rounding tie goes to _FMT; the double-double
-# product is good to about 1e-14 there.
+# A scaled value this close to a rounding tie goes to _FMT, and a parsed
+# product this many of its ulps from a midpoint goes to float(); the
+# double-double products are good to about 1e-14 there.
 _TIE_MARGIN = 1e-7
+# Characters of the CSV body per parsed block (whole lines, at least one).
+_READ_CHARS = 1 << 17
+# A token's bytes from 6 before its first digit, laid out for the '%.16e'
+# shape: digits at 6 and 8..23 (the two little-endian words 1 and 2), "." at
+# 7, "e" at 24, the exponent's sign at 25 and its digits at 26..27 or 26..28.
+_WINDOW = 32
+_TINY = np.finfo(np.float64).tiny
+_NIBBLES = 0xF0F0F0F0F0F0F0F0
 _TABLES = None
 _GRID_KEYS = ("qmin", "qmax", "pmin", "pmax", "nq", "np")
 
@@ -80,6 +99,18 @@ def _tables():
     return _TABLES
 
 
+def _two_product(a, b):
+    """(p, err) with p = fl(a b) and p + err = a b exactly (Dekker)."""
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _scaled(m, e, E):
     """m 2^e 10^(16 - E) as S + R with S = fl(S + R), to about 2^-104.
 
@@ -89,15 +120,7 @@ def _scaled(m, e, E):
     """
     hi, lo, t = _tables()[:3]
     k = 16 - E - _K_MIN
-    H = hi.take(k)
-    c = 134217729.0 * m
-    mh = c - (c - m)
-    ml = m - mh
-    c = 134217729.0 * H
-    Hh = c - (c - H)
-    Hl = H - Hh
-    p = m * H
-    err = ((mh * Hh - p) + mh * Hl + ml * Hh) + ml * Hl
+    p, err = _two_product(m, hi.take(k))
     sh = (e + t.take(k)).astype(np.int32)
     S = np.ldexp(p, sh)
     R = np.ldexp(err + m * lo.take(k), sh)
@@ -223,13 +246,153 @@ def write_grid_csv(field: GridField, target, metadata: dict = None) -> None:
             fh.write(tpl % tuple(_format_e16(cols)))
 
 
+def _digit_bytes(words):
+    """0x33 in each byte of uint64 words that holds an ASCII digit; a byte
+    that carries the +6 into the next gives a false 'not a digit' there,
+    never a false digit (Lemire 2021)."""
+    return (words & _NIBBLES) | ((words + 0x0606060606060606) & _NIBBLES) >> 4
+
+
+def _swar8(words):
+    """The 8-digit numbers spelled by little-endian uint64 words of ASCII
+    digits, in three multiply-shift steps (Lemire 2021); other bytes give a
+    wrong number below 2^32."""
+    v = (words & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    v = (v & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return (v & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+
+
+def _near_tie(S, R):
+    """Where S + R, S >= 0 and |R| at most half the gap from S to its
+    neighbour on R's side, is within _TIE_MARGIN of that gap of their
+    midpoint.  Below a power of two the gap is half the one above."""
+    near = (1.0 - 2.0 * _TIE_MARGIN) * np.spacing(S)
+    return ((2.0 * np.abs(R) > near)
+            | (S.view(np.uint64) << 12 == 0) & (-4.0 * R > near))
+
+
+def _parse_tokens(b, starts, ends):
+    """float(b[s:e]) for each token, as a float64 array.
+
+    b is a uint8 block with at least 6 bytes before the first token and
+    _WINDOW after the last.  A token of the '%.16e' shape spells N 10^(E-16)
+    with N < 10^17; N = Nh + Nl with Nh = fl(N) and |Nl| <= 8, and
+    (Nh + Nl)(hi + lo) 2^t is formed as S + R, good to about 2^-100, and S
+    is the correctly rounded value unless S + R is _near_tie.  Other tokens,
+    those near-ties and results outside the normal range go to float().
+    """
+    hi, lo, t = _tables()[:3]
+    neg = b.take(starts) == 45
+    first = starts + neg
+    size = ends - first - (b.take(ends - 1) == 13)
+    # one strided view of every window; indexing copies them all at once,
+    # where take is many times slower on void items
+    w = (np.ndarray((len(b) - _WINDOW + 1,), f"V{_WINDOW}", b, 0, (1,))
+         [first - 6].view("<u8").reshape(len(starts), _WINDOW // 8))
+    lead, mid, low, tail = w.T.copy()
+    sign = tail >> 8 & 255
+    digits = _digit_bytes(tail)
+    wide = size == 23
+    ok = (((_digit_bytes(lead) & 0x00FF << 48 | lead & 0xFF << 56)
+           == 0x2E33 << 48)
+          & (_digit_bytes(mid) == 0x3333333333333333)
+          & (_digit_bytes(low) == 0x3333333333333333)
+          & ((digits & 0xFFFF0000 | tail & 0xFF) == 0x33330065)
+          & ((sign == 43) | (sign == 45))
+          & ((size == 22) | wide & (digits >> 32 & 255 == 0x33)))
+    N = ((lead >> 48 & 15) * 10 ** 16 + _swar8(mid) * 10 ** 8
+         + _swar8(low)).view(np.int64)
+    e = (tail >> 16 & 15) * 10 + (tail >> 24 & 15)
+    e = np.where(wide, e * 10 + (tail >> 32 & 15), e).view(np.int64)
+    k = np.where(sign == 45, -e, e) - (16 + _K_MIN)
+    ok &= (k >= 0) & (k <= _K_MAX - _K_MIN)
+    k[~ok] = 0
+    Nh = N.astype(np.float64)
+    Nl = (N - Nh.astype(np.int64)).astype(np.float64)
+    H = hi.take(k)
+    p, err = _two_product(Nh, H)
+    err += Nh * lo.take(k) + Nl * H
+    S = p + err
+    slow = ~ok | _near_tie(S, err - (S - p))
+    with np.errstate(over="ignore"):
+        x = np.ldexp(S, t.take(k).astype(np.int32))
+    a = np.abs(x)
+    slow |= (N != 0) & ~((a > _TINY) & (a < np.inf))
+    bits = x.view(np.uint64)
+    bits |= neg.astype(np.uint64) << 63
+    for i in np.flatnonzero(slow).tolist():
+        x[i] = float(b[starts[i]:ends[i]].tobytes().decode())
+    return x
+
+
+def _row_tokens(b, ncols):
+    """Token starts and ends (their separators) of a block of rows, or None
+    unless every line has ncols comma-separated tokens."""
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    if len(seps) % ncols:
+        return None
+    is_nl = (b.take(seps) == 10).reshape(-1, ncols)
+    if is_nl[:, :-1].any() or not is_nl[:, -1].all():
+        return None
+    starts = np.empty_like(seps)
+    starts[:1] = 6
+    starts[1:] = seps[:-1] + 1
+    return starts, seps
+
+
+def _padded(block: bytes):
+    """The block as uint8, after 6 zero bytes and before _WINDOW of them."""
+    b = np.zeros(6 + len(block) + _WINDOW, np.uint8)
+    b[6:6 + len(block)] = np.frombuffer(block, np.uint8)
+    return b
+
+
+def _parse_rows(block: bytes, ncols: int):
+    """The (rows, ncols) floats of a block of whole lines.
+
+    A block with a line of another column count or one that starts with
+    neither a digit nor "-" is parsed again from its lines stripped of
+    blanks, without blank and '#' lines; every line must then have ncols
+    columns.
+    """
+    b = _padded(block)
+    tokens = _row_tokens(b, ncols)
+    if tokens is not None:
+        heads = b.take(tokens[0][::ncols])
+    if tokens is None or not ((heads - 48 <= 9) | (heads == 45)).all():
+        lines = [s for line in block.split(b"\n")
+                 if (s := line.strip()) and not s.startswith(b"#")]
+        if not lines:
+            return np.empty((0, ncols))
+        b = _padded(b"\n".join(lines) + b"\n")
+        tokens = _row_tokens(b, ncols)
+        if tokens is None:
+            raise ValueError(f"grid CSV rows must have {ncols} columns")
+    return _parse_tokens(b, *tokens).reshape(-1, ncols)
+
+
+def _body_blocks(fh, first: str):
+    """The text after the header as utf-8 blocks of whole lines, each ending
+    in a newline."""
+    carry = first
+    while text := fh.read(_READ_CHARS):
+        text = carry + text
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        if cut:
+            yield text[:cut].encode()
+    if carry:
+        yield (carry + "\n").encode()
+
+
 def read_grid_csv(source) -> tuple:
     """Read a GridField CSV; returns (GridField, metadata dict).
 
     Each `# warning=` line is read whole into GridField.warnings.  Raises
-    ValueError when the header lacks a grid key, or when the rows do not
-    match the declared grid in number or, to 1e-12 of the axis extent, in
-    their q and p columns.
+    ValueError when the header lacks a grid key, when a row has another
+    column count than the layout's, or when the rows do not match the
+    declared grid in number or, to 1e-12 of the axis extent, in their q and
+    p columns.
     """
     meta, warnings = {}, []
     with _open(source, "r") as fh:
@@ -244,27 +407,33 @@ def read_grid_csv(source) -> tuple:
         missing = [k for k in _GRID_KEYS if k not in meta]
         if missing:
             raise ValueError("grid CSV header lacks " + ", ".join(missing))
-        data = np.loadtxt(chain([line], fh), delimiter=",", comments="#",
-                          ndmin=2)
-    spec = GridSpec(float(meta["qmin"]), float(meta["qmax"]),
-                    float(meta["pmin"]), float(meta["pmax"]),
-                    int(meta["nq"]), int(meta["np"]))
-    shape = (spec.nq, spec.np)
-    if data.shape[0] != spec.nq * spec.np:
+        spec = GridSpec(float(meta["qmin"]), float(meta["qmax"]),
+                        float(meta["pmin"]), float(meta["pmax"]),
+                        int(meta["nq"]), int(meta["np"]))
+        is_complex = bool(int(meta.get("complex", "0")))
+        size = spec.nq * spec.np
+        qs, ps = spec.qs, spec.ps
+        q_tol = 1e-12 * (spec.qmax - spec.qmin)
+        p_tol = 1e-12 * (spec.pmax - spec.pmin)
+        values = np.empty(size, complex)
+        row, on_grid = 0, True
+        for block in _body_blocks(fh, line):
+            data = _parse_rows(block, 3 + is_complex)
+            end = row + len(data)
+            if end > size:
+                raise ValueError("row count does not match the declared grid")
+            i, j = np.divmod(np.arange(row, end), spec.np)
+            on_grid = (on_grid and (np.abs(data[:, 0] - qs[i]) <= q_tol).all()
+                       and (np.abs(data[:, 1] - ps[j]) <= p_tol).all())
+            values[row:end] = (data[:, 2] + 1j * data[:, 3] if is_complex
+                               else data[:, 2])
+            row = end
+    if row != size:
         raise ValueError("row count does not match the declared grid")
-    # the q and p columns become their distances from the nodes, in place:
-    # no grid-sized temporaries
-    q, p = data[:, 0].reshape(shape), data[:, 1].reshape(shape)
-    np.abs(np.subtract(q, spec.qs[:, None], out=q), out=q)
-    np.abs(np.subtract(p, spec.ps, out=p), out=p)
-    if not ((q <= 1e-12 * (spec.qmax - spec.qmin)).all()
-            and (p <= 1e-12 * (spec.pmax - spec.pmin)).all()):
+    if not on_grid:
         raise ValueError("q,p columns do not match the declared grid")
-    if int(meta.get("complex", "0")):
-        values = (data[:, 2] + 1j * data[:, 3]).reshape(shape)
-    else:
-        values = data[:, 2].astype(complex).reshape(shape)
-    return GridField(spec, values, float(meta.get("hbar", "1")), warnings), meta
+    return (GridField(spec, values.reshape(spec.nq, spec.np),
+                      float(meta.get("hbar", "1")), warnings), meta)
 
 
 def records_to_json(records, extra: dict = None) -> str:

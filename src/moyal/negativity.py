@@ -85,16 +85,21 @@ class LambdaScanReport:
 def laguerre_roots(n: int) -> np.ndarray:
     """All n roots of L_n, ascending: Gauss-Laguerre nodes, one Newton step.
 
-    The nodes of the n-point Gauss-Laguerre rule are the roots of L_n;
-    numpy obtains them as the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the three-term recurrence (Golub & Welsch, Math.
-    Comp. 23, 221 (1969)).  One vectorized Newton step through the
-    recurrence, with y L_n' = n (L_n - L_{n-1}), polishes them to full
-    double precision.
+    The nodes of the n-point Gauss-Laguerre rule are the roots of L_n: the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+    three-term recurrence (Golub & Welsch, Math. Comp. 23, 221 (1969)),
+    then one Newton step on the Laguerre series, as numpy's laggauss takes
+    them.  A second vectorized Newton step through the recurrence, with
+    y L_n' = n (L_n - L_{n-1}), polishes them to full double precision.
     """
     if n == 0:
         return np.empty(0)
-    nodes, _ = np.polynomial.laguerre.laggauss(n)
+    # laggauss's nodes without its weights, which divide by zero from n = 187
+    lag = np.polynomial.laguerre
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    nodes = np.linalg.eigvalsh(lag.lagcompanion(c))
+    nodes -= lag.lagval(nodes, c) / lag.lagval(nodes, lag.lagder(c))
     Ln, Lnm1 = laguerre_pair(n, nodes)
     roots = nodes - nodes * Ln / (n * (Ln - Lnm1))
     if not (roots[0] > 0.0 and np.all(np.diff(roots) > 0.0)):

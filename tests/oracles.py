@@ -7,18 +7,20 @@ one-panel-per-step greedy loop of the adaptive eta quadrature, a star
 product by the source-differentiation recursion and one by a Horner
 substitution of all four variables, element-at-a-time grid star sums, a
 Moyal bracket that forms both grid star products, a per-value CSV writer
-and line reader, and a per-point Halton loop.
+and line reader, the CSV reader by numpy's loadtxt, and a per-point Halton
+loop.
 """
 
 import io
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import dblquad
 
 from moyal import __version__, negativity
 from moyal.errors import ConvergenceError
-from moyal.grid import (GridField, _checked_decay, _decay_warnings, _forward,
-                        _inverse, _twist, _twisted_sum)
+from moyal.grid import (GridField, GridSpec, _checked_decay, _decay_warnings,
+                        _forward, _inverse, _twist, _twisted_sum)
 from moyal.models import laguerre_pair
 from moyal.polygauss import PolyGauss
 from moyal.star import _star_system
@@ -423,6 +425,47 @@ def read_grid_csv_lines(text: str):
     if int(meta.get("complex", "0")):
         return (data[:, 2] + 1j * data[:, 3]).reshape(shape), meta
     return data[:, 2].astype(complex).reshape(shape), meta
+
+
+def read_grid_csv_loadtxt(source):
+    """(GridField, metadata) of a grid CSV path or text handle, the rows
+    parsed whole by numpy's loadtxt; the same header handling and grid
+    checks as moyal.formats.read_grid_csv."""
+    meta, warnings = {}, []
+    fh = source if hasattr(source, "read") else open(source)
+    try:
+        line = fh.readline()
+        while line.startswith("#") or line.isspace():
+            if line.startswith("# warning="):
+                warnings.append(line[len("# warning="):].rstrip("\n"))
+            else:
+                meta.update(tok.split("=", 1) for tok in line[1:].split()
+                            if "=" in tok)
+            line = fh.readline()
+        missing = [k for k in ("qmin", "qmax", "pmin", "pmax", "nq", "np")
+                   if k not in meta]
+        if missing:
+            raise ValueError("grid CSV header lacks " + ", ".join(missing))
+        data = np.loadtxt(chain([line], fh), delimiter=",", comments="#",
+                          ndmin=2)
+    finally:
+        if fh is not source:
+            fh.close()
+    spec = GridSpec(float(meta["qmin"]), float(meta["qmax"]),
+                    float(meta["pmin"]), float(meta["pmax"]),
+                    int(meta["nq"]), int(meta["np"]))
+    shape = (spec.nq, spec.np)
+    if data.shape[0] != spec.nq * spec.np:
+        raise ValueError("row count does not match the declared grid")
+    q, p = data[:, 0].reshape(shape), data[:, 1].reshape(shape)
+    if not ((np.abs(q - spec.qs[:, None]) <= 1e-12 * (spec.qmax - spec.qmin)).all()
+            and (np.abs(p - spec.ps) <= 1e-12 * (spec.pmax - spec.pmin)).all()):
+        raise ValueError("q,p columns do not match the declared grid")
+    if int(meta.get("complex", "0")):
+        values = (data[:, 2] + 1j * data[:, 3]).reshape(shape)
+    else:
+        values = data[:, 2].astype(complex).reshape(shape)
+    return GridField(spec, values, float(meta.get("hbar", "1")), warnings), meta
 
 
 def _radical_inverse_scalar(n: int, base: int) -> float:

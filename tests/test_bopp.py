@@ -159,3 +159,24 @@ def test_framed_apply_matches_lab_expansion():
         vals = want.evaluate(pts[:, 0], pts[:, 1])
         assert np.abs(got.evaluate(pts[:, 0], pts[:, 1]) - vals).max() <= (
             1e-12 * np.abs(vals).max())
+
+
+def test_framed_residual_builds_only_the_frame_triples(monkeypatch):
+    # the lab-frame triples are built when read, and apply on a framed
+    # state reads only those of s o S^-1; the residual is the same number
+    from moyal import bopp
+
+    dp = DampedParams(0.5, 2)
+    H, W, E = damped_hamiltonian(0.5), damped_wigner(dp), damped_energy(dp)
+    want = eigen_residual(H, W, E)
+    op = bopp_from_symbol(H, "left", 1.0)
+    read = op.terms
+    assert op.order == 2 and op.terms is read
+    built = []
+    triples = bopp._triples
+    monkeypatch.setattr(bopp, "_triples",
+                        lambda *a: built.append(a[0]) or triples(*a))
+    assert eigen_residual(H, W, E) == want
+    assert len(built) == 1 and built[0] != H
+    assert apply(op, W).terms == apply(bopp_from_symbol(H, "left", 1.0),
+                                       W).terms

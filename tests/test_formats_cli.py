@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from moyal.grid import GridField, GridSpec, sample
 from moyal.models import DampedParams, damped_wigner, damped_wigner_values
 from moyal.negativity import (damped_box, eta_radial, lambda_scan,
                               negativity_table)
-from oracles import adaptive_eta_greedy, grid_csv_text, read_grid_csv_lines
+from oracles import (adaptive_eta_greedy, grid_csv_text, read_grid_csv_lines,
+                     read_grid_csv_loadtxt)
 
 
 def test_grid_csv_roundtrip(tmp_path):
@@ -204,6 +206,260 @@ def test_read_grid_csv_matches_line_oracle(is_complex, tmp_path):
     assert meta == meta_fh == want_meta
     assert from_path.spec == field.spec and from_path.hbar == 0.7
     assert from_path.warnings == from_file.warnings == field.warnings
+
+
+def _read_three_ways(text):
+    """Values of a grid CSV text by read_grid_csv from a handle and by the two
+    oracles, checked bitwise equal; returns them."""
+    got, meta = read_grid_csv(io.StringIO(text))
+    by_lines, lines_meta = read_grid_csv_lines(text)
+    by_loadtxt, loadtxt_meta = read_grid_csv_loadtxt(io.StringIO(text))
+    assert got.values.tobytes() == by_lines.tobytes()
+    assert got.values.tobytes() == by_loadtxt.values.tobytes()
+    assert meta == loadtxt_meta
+    assert got.warnings == by_loadtxt.warnings
+    return got.values
+
+
+_P10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+_BIT_PATTERNS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    # subnormals and signed zeros: the low bit picks the sign
+    st.integers(0, 2 ** 53 - 1).map(lambda m: m >> 1 | (m & 1) << 63),
+    # powers of two, both signs
+    st.integers(0, 2 * 2047 - 1).map(lambda i: (i % 2047) << 52
+                                     | (i // 2047) << 63),
+    # three-digit decimal exponents
+    st.floats(min_value=1e100, allow_infinity=False).map(
+        lambda x: int(np.float64(x).view(np.uint64))),
+    st.floats(min_value=2.2e-308, max_value=1e-100).map(
+        lambda x: int(np.float64(x).view(np.uint64))),
+    # 10^k and the doubles one ulp either side
+    st.tuples(st.sampled_from(_P10.view(np.int64).tolist()),
+              st.sampled_from([-1, 0, 1])).map(sum))
+
+
+@given(st.lists(_BIT_PATTERNS, min_size=128, max_size=128),
+       st.booleans())
+def test_read_grid_csv_bit_patterns_match_oracles(patterns, is_complex):
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    x[~np.isfinite(x)] = 0.0
+    vals = x[:64] + 1j * x[64:] if is_complex else x[:64]
+    field = GridField(GridSpec(-2.0, 2.0, -1.0, 1.0, 8, 8), vals.reshape(8, 8))
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    got = _read_three_ways(buf.getvalue())
+    if not is_complex:
+        assert got.real.tobytes() == field.values.real.tobytes()
+
+
+def _with_w_tokens(tokens):
+    """A grid CSV text of an 8 x m grid whose W column holds the tokens, then
+    zeros."""
+    m = -(-len(tokens) // 8)
+    field = GridField(GridSpec(-1.0, 1.0, -1.0, 1.0, 8, max(m, 8)),
+                      np.zeros((8, max(m, 8))))
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    rows = lines[len(header):]
+    for i, tok in enumerate(tokens):
+        rows[i] = rows[i].rsplit(",", 1)[0] + f",{tok}\n"
+    return "".join(header + rows)
+
+
+def _e16(d: int, e: int) -> str:
+    return f"{str(d)[0]}.{str(d)[1:]}e{e:+03d}"
+
+
+def _near_tie_decimals():
+    """17-digit decimals at a rounding tie, and those one digit either side
+    of a tie or of the rounding of one."""
+    rng = np.random.default_rng(20261019)
+    ties, around = [], []
+    # ties: odd multiples of half a gap, 2^a 5^c r with r odd, at most 17
+    # significant digits (a <= 3.32 c + 3)
+    for c in range(24):
+        for a in range(c, int(3.32 * c + 3) + 1):
+            for r in rng.integers(-(-2 ** 53 // 5 ** c), 2 ** 54 // 5 ** c,
+                                  20, endpoint=True).tolist():
+                odd = 5 ** c * (r | 1)
+                digits = str(2 ** a * odd)
+                if 2 ** 53 < odd < 2 ** 54 and len(digits.rstrip("0")) <= 17:
+                    d = int(digits[:17].ljust(17, "0"))
+                    ties.append(_e16(d, len(digits) - 1))
+                    around += [_e16(t, len(digits) - 1) for t in (d - 1, d + 1)
+                               if len(str(t)) == 17]
+    # the 17-digit rounding of the midpoint of two neighbouring doubles:
+    # normal, subnormal, and the largest double and 2^1024
+    x = np.abs(rng.integers(0, 2 ** 63, 3000, dtype=np.uint64)
+               .view(np.float64))
+    x = np.concatenate([x[(x > 1e-300) & (x < 1e300)],
+                        rng.integers(0, 2 ** 52, 1000, dtype=np.uint64)
+                        .view(np.float64), [1.7976931348623157e308]])
+    for mid in ((Fraction(v) + Fraction(math.nextafter(v, math.inf))
+                 if v < 1e308 else Fraction(2 ** 1024 - 2 ** 970))
+                for v in x.tolist()):
+        e = math.floor(math.log10(mid.numerator)
+                       - math.log10(mid.denominator))
+        e += (mid >= Fraction(10) ** (e + 1)) - (mid < Fraction(10) ** e)
+        d = round(mid / Fraction(10) ** (e - 16))
+        around += [_e16(t, e) for t in (d - 1, d, d + 1) if len(str(t)) == 17]
+    return ties, around
+
+
+def test_read_grid_csv_near_ties_match_float(monkeypatch):
+    ties, around = _near_tie_decimals()
+    tokens = [t for t in ties + around if math.isfinite(float(t))]
+    assert len(ties) > 1000 and len(tokens) > 5000
+    got = _read_three_ways(_with_w_tokens(tokens)).real.ravel()
+    want = np.array([float(t) for t in tokens])
+    assert got[:len(tokens)].tobytes() == want.tobytes()
+    # the ties themselves are settled by float(), half to even
+    calls = []
+    monkeypatch.setattr(formats, "float",
+                        lambda s: calls.append(s) or float(s), raising=False)
+    formats._parse_rows(("\n".join(ties) + "\n").encode(), 1)
+    assert calls == ties
+
+
+def test_near_tie_reads_the_gap_on_the_remainder_side():
+    # half a gap is 2^-53 on both sides of 1.5, and 2^-53 above 1.0 but
+    # 2^-54 below it
+    S = np.array([1.5, 1.5, 1.0, 1.0, 1.0, 1.0, 0.0])
+    R = np.array([2 ** -53 * (1 - 1e-9), -2 ** -54, 2 ** -53 * (1 - 1e-9),
+                  2 ** -54, -2 ** -54 * (1 - 1e-9), -2 ** -55, 0.0])
+    assert formats._near_tie(S, R).tolist() == [True, False, True, False,
+                                                 True, False, False]
+
+
+@pytest.mark.parametrize("token", [
+    "1.2345678901234567e123", "1.2345678901234567e-05", "1.2345678901234567e5",
+    "1.2345678901234567E+05", "+1.2345678901234567e+05",
+    " 1.2345678901234567e+05", "1.2345678901234567e+05 ",
+    "12.345678901234567e+05", "1.23456789012345678e+05",
+    "1.2345678901234567e+1234", "1.2345678901234567e-1234",
+    "1.2345678901234567e+005", "-1.2345678901234567e-005",
+    "0.0000000000000000e+00", "-0.0000000000000000e+00", "nan", "-inf",
+    "9.0", "-9.0", "1e5", "1.5\r"])
+def test_parse_rows_reads_other_shapes_as_float(token):
+    got = formats._parse_rows(f"{token}\n".encode(), 1)
+    assert got.tobytes() == np.array([float(token)]).tobytes()
+
+
+def test_parse_rows_matches_float_on_hard_families():
+    x = _hard_doubles()
+    tokens = [_FMT.format(v) for v in x.tolist()]
+    got = formats._parse_rows(("\n".join(tokens) + "\n").encode(), 1)
+    want = np.array([float(t) for t in tokens])
+    assert got.ravel().tobytes() == want.tobytes()
+
+
+def test_parse_rows_reads_export_fields_without_python(monkeypatch):
+    # the one-by-one route is for other shapes, near-ties and results
+    # outside the normal range only
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return float(s)
+
+    spec = GridSpec(*damped_box(10, 0.9), 101, 101)
+    field = GridField(spec, damped_wigner_values(DampedParams(0.6, 10),
+                                                 *spec.meshgrid()))
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    body = "".join(line for line in buf.getvalue().splitlines(keepends=True)
+                   if not line.startswith("#"))
+    monkeypatch.setattr(formats, "float", counting, raising=False)
+    got = formats._parse_rows(body.encode(), 3)
+    assert calls == []
+    assert got[:, 2].tobytes() == field.values.real.ravel().tobytes()
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_read_grid_csv_layout_variants_match_oracles(is_complex, tmp_path,
+                                                     monkeypatch):
+    field = _awkward_field(is_complex)
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    text = buf.getvalue()
+    want = _read_three_ways(text)
+    lines = text.splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    rows = lines[len(header):]
+    crlf = text.replace("\n", "\r\n")
+    # blank lines and whole-line comments in the body, at a block edge too
+    spaced = "".join(header + rows[:5] + ["\n", "# a note, with, commas\n"]
+                     + rows[5:60] + ["\n", "#\n"] + rows[60:] + ["\n"])
+    # lines of blanks, which loadtxt reads as a row of one empty column
+    blanks = "".join(header + rows[:5] + ["   \n", "\r\n"] + rows[5:])
+    by_lines, _ = read_grid_csv_lines(blanks)
+    assert read_grid_csv(io.StringIO(blanks))[0].values.tobytes() == (
+        by_lines.tobytes())
+    # tokens of other shapes: shorter, an exponent without a dot, a blank
+    # before a value, a + sign, an upper-case E
+    foreign = list(rows)
+    for i, form in enumerate(("{!r}", "{:.3e}", " {:.16e}", "{:+.16e}",
+                              "{:.16E}")):
+        q, p, rest = foreign[10 + i].split(",", 2)
+        w = float(rest.split(",")[0])
+        foreign[10 + i] = ",".join([q, p, form.format(w)]
+                                   + rest.rstrip("\n").split(",")[1:]) + "\n"
+    for variant in (crlf, spaced):
+        assert _read_three_ways(variant).tobytes() == want.tobytes()
+    _read_three_ways("".join(header + foreign))
+    # a path, written with CRLF line ends, and a text handle on it
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(crlf.encode())
+    from_path, _ = read_grid_csv(path)
+    with open(path) as fh:
+        from_handle, _ = read_grid_csv(fh)
+    assert from_path.values.tobytes() == from_handle.values.tobytes()
+    assert from_path.values.tobytes() == want.tobytes()
+    # blocks of a few lines each: the blank and comment lines fall inside
+    # and at the edges of blocks
+    monkeypatch.setattr(formats, "_READ_CHARS", 100)
+    assert _read_three_ways(spaced).tobytes() == want.tobytes()
+    assert _read_three_ways(crlf).tobytes() == want.tobytes()
+
+
+def test_read_grid_csv_rejects_what_loadtxt_dropped():
+    # loadtxt cut a trailing '#' comment off a row, and read the third of
+    # four columns as W in the real layout; the block reader rejects both
+    field = _awkward_field(False)
+    buf = io.StringIO()
+    write_grid_csv(field, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    i = len([line for line in lines if line.startswith("#")])
+    noted = lines[:i + 4] + [lines[i + 4].rstrip("\n") + " # note\n"]
+    for text in ("".join(noted + lines[i + 5:]),
+                 "".join(lines[:i] + [row.rstrip("\n") + ",0.0\n"
+                                      for row in lines[i:]])):
+        read_grid_csv_loadtxt(io.StringIO(text))
+        with pytest.raises(ValueError, match="^grid CSV rows must have 3 "
+                                             "columns$|could not convert"):
+            read_grid_csv(io.StringIO(text))
+
+
+def test_grid_csv_reader_streams_blocks(tmp_path):
+    # the reader holds the field and a block of lines, not the file's text
+    # or a grid-sized table of all columns; GridField then copies the field
+    spec = GridSpec(-3.0, 3.0, -3.0, 3.0, 601, 601)
+    Q, P = spec.meshgrid()
+    field = GridField(spec, np.cos(Q * P) * np.exp(-(Q ** 2 + P ** 2) / 4))
+    del Q, P
+    path = tmp_path / "w.csv"
+    write_grid_csv(field, str(path))
+    tracemalloc.start()
+    try:
+        back, _ = read_grid_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == field.values.tobytes()
+    assert peak < 2 * back.values.nbytes + 1e6
 
 
 def test_cli_csv_bytes_match_per_value_oracle(tmp_path):

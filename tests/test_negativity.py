@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,26 @@ def test_laguerre_roots_match_bracketed_walk():
         walk = laguerre_roots_bracketed(n)
         assert roots.shape == (n,)
         assert np.abs(roots / walk - 1.0).max() <= 1e-14
+
+
+def test_laguerre_roots_start_from_laggauss_nodes_without_warnings():
+    # laggauss's weights divide by zero from n = 187 on; its nodes, then
+    # one Newton step through the recurrence, are the roots bit for bit
+    from moyal.models import laguerre_pair
+
+    for n in range(1, 201):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nodes, _ = np.polynomial.laguerre.laggauss(n)
+        Ln, Lnm1 = laguerre_pair(n, nodes)
+        want = nodes - nodes * Ln / (n * (Ln - Lnm1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert laguerre_roots(n).tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = eta_radial(200)
+    assert rec.eta > 0.0 and rec.err_estimate < 1e-12
 
 
 @pytest.mark.parametrize("n", [30, 50])
