@@ -25,8 +25,8 @@ from math import factorial
 import numpy as np
 
 from .errors import ParameterMismatchError
-from .polygauss import PolyGauss
-from .symbols import PolynomialSymbol
+from .polygauss import PolyGauss, _diff_array, _inverse
+from .symbols import PolynomialSymbol, _convolve
 
 
 def _triples(s: PolynomialSymbol, side: str, hbar: float) -> tuple:
@@ -36,12 +36,12 @@ def _triples(s: PolynomialSymbol, side: str, hbar: float) -> tuple:
     triples = []
     for j in range(deg + 1):
         for k in range(deg + 1 - j):
-            ds = s.derivative(dq=j, dp=k)
-            if not ds.coeffs:
+            ds = s.derivative(dq=j, dp=k).C
+            if not ds.any():
                 continue
             c = (0.5j * h) ** (j + k) * (-1.0) ** k / (factorial(j) * factorial(k))
             # the j q-derivatives of s pair with p-derivatives of the operand
-            triples.append((ds * c, k, j))
+            triples.append((PolynomialSymbol(c * ds), k, j))
     return tuple(triples)
 
 
@@ -75,35 +75,28 @@ def bopp_from_symbol(s: PolynomialSymbol, side: str, hbar: float) -> BoppOperato
     return BoppOperator(side, float(hbar), s)
 
 
-def _apply_terms(terms: tuple, f: PolyGauss) -> PolyGauss:
-    """Sum of coefficient times derivative of f over the triples."""
-    derivs = {(0, 0): f}
+def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
+    """Apply a Bopp operator to a polynomial-Gaussian, exactly in closed form:
+    the sum over the triples of coefficient times derivative of f, formed
+    on coefficient arrays in the frame variables."""
+    if abs(op.hbar - f.hbar) > 1e-15:
+        raise ParameterMismatchError(
+            f"operator hbar {op.hbar} does not match function hbar {f.hbar}")
+    terms = op.terms if f.frame is None else _triples(
+        op.symbol.linear_map(_inverse(f.frame)), op.side, op.hbar)
+    derivs = {(0, 0): f.C}
 
     def derivative(dq, dp):
         # q-derivatives first; each one is taken once for all the terms
         if (dq, dp) not in derivs:
-            derivs[dq, dp] = (derivative(dq, dp - 1).diff("p") if dp
-                              else derivative(dq - 1, 0).diff("q"))
+            derivs[dq, dp] = (
+                _diff_array(derivative(dq, dp - 1), f.shape, (0.0, 1.0)) if dp
+                else _diff_array(derivative(dq - 1, 0), f.shape, (1.0, 0.0)))
         return derivs[dq, dp]
 
-    out = None
+    # a derivative of order r grows f by r, its coefficient has degree
+    # deg s - r at most
+    out = np.zeros((max(f.C.shape) + max(op.symbol.degree, 0),) * 2, dtype=complex)
     for coeff, dq, dp in terms:
-        g = derivative(dq, dp).mul_symbol(coeff)
-        out = g if out is None else out + g
-    if out is None:
-        return PolyGauss({}, f.shape, f.hbar, f.frame)
-    return out
-
-
-def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
-    """Apply a Bopp operator to a polynomial-Gaussian, exactly in closed form."""
-    if abs(op.hbar - f.hbar) > 1e-15:
-        raise ParameterMismatchError(
-            f"operator hbar {op.hbar} does not match function hbar {f.hbar}")
-    if f.frame is None:
-        return _apply_terms(op.terms, f)
-    (a, b), (c, d) = f.frame
-    s = op.symbol.linear_map(np.array([[d, -b], [-c, a]]))
-    out = _apply_terms(_triples(s, op.side, op.hbar),
-                       PolyGauss(f.terms, f.shape, f.hbar))
-    return PolyGauss(out.terms, out.shape, f.hbar, f.frame)
+        _convolve(coeff.C, derivative(dq, dp), out)
+    return PolyGauss(out, f.shape, f.hbar, f.frame)

@@ -415,7 +415,7 @@ def read_grid_csv(source) -> tuple:
         qs, ps = spec.qs, spec.ps
         q_tol = 1e-12 * (spec.qmax - spec.qmin)
         p_tol = 1e-12 * (spec.pmax - spec.pmin)
-        values = np.empty(size, complex)
+        values = np.empty(size, complex if is_complex else float)
         row, on_grid = 0, True
         for block in _body_blocks(fh, line):
             data = _parse_rows(block, 3 + is_complex)
@@ -425,8 +425,10 @@ def read_grid_csv(source) -> tuple:
             i, j = np.divmod(np.arange(row, end), spec.np)
             on_grid = (on_grid and (np.abs(data[:, 0] - qs[i]) <= q_tol).all()
                        and (np.abs(data[:, 1] - ps[j]) <= p_tol).all())
-            values[row:end] = (data[:, 2] + 1j * data[:, 3] if is_complex
-                               else data[:, 2])
+            # part by part, so that a -0.0 keeps its sign
+            values.real[row:end] = data[:, 2]
+            if is_complex:
+                values.imag[row:end] = data[:, 3]
             row = end
     if row != size:
         raise ValueError("row count does not match the declared grid")

@@ -94,7 +94,8 @@ class GridField:
             raise ValueError(f"values must have shape {(self.spec.nq, self.spec.np)}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite entries")
-        v = v.copy()
+        if np.may_share_memory(v, self.values):
+            v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "hbar", float(self.hbar))

@@ -326,7 +326,7 @@ def _damped_polygauss(dp: DampedParams, front: float) -> PolyGauss:
         a = ((1.0 - dp.lam) / (1.0 + dp.lam)) ** 0.25
         frame = 0.5 * np.array([[a + 1.0 / a, a - 1.0 / a],
                                 [a - 1.0 / a, a + 1.0 / a]])
-    return PolyGauss(poly.coeffs, shape, dp.hbar, frame)
+    return PolyGauss(poly.C, shape, dp.hbar, frame)
 
 
 def damped_quasiamplitude(dp: DampedParams) -> PolyGauss:

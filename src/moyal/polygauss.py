@@ -1,8 +1,9 @@
 """Closed-form phase-space functions: (complex polynomial) x (complex Gaussian).
 
-The exponential part is held as a quadratic form with the sign convention
+The polynomial is held as a coefficient array (``moyal.symbols``) and the
+exponential part as a quadratic form, with the sign convention
 
-    f(x) = sum_{a,b} c_{ab} u^a v^b * exp(-(w^T A w + l.w + k)),  w = (u, v) = S x,
+    f(x) = sum_{a,b} C[a, b] u^a v^b * exp(-(w^T A w + l.w + k)),  w = (u, v) = S x,
 
 where x = (q, p), A is a complex symmetric 2x2 matrix, l a complex 2-vector,
 k a complex scalar and S a real 2x2 matrix with det S = 1, the frame.  The
@@ -21,8 +22,9 @@ star products all take the mean of a polynomial under a Gaussian: they
 smooth with one heat-operator kernel (``moyal.symbols._smooth``), then
 integrals and marginals substitute the affine mean with
 ``moyal.symbols._substitute`` and star products contract power tables
-(``moyal.star``).  All run in the frame; only operations between two
-different frames first expand to the identity frame (``PolyGauss.lab``).
+(``moyal.star``).  All run in the frame.  Between two different frames, a
+pure polynomial operand (A = 0, l = 0) takes the other's frame exactly; any
+other pair first expands to the identity frame (``PolyGauss.lab``).
 
 A function is normalizable when Re(A) is positive definite; integration
 requires that.  All values are immutable after construction and every
@@ -36,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonNormalizableError, ParameterMismatchError
-from .symbols import (PolynomialSymbol, _dense, _smooth, _sparse, _substitute,
-                      convolve_coeffs, prune_coeffs)
+from .symbols import (PolynomialSymbol, _coefficient_array, _convolve, _degree,
+                      _entries, _falling, _padded_sum, _smooth, _substitute,
+                      _values)
 
 
 @dataclass(frozen=True)
@@ -118,21 +121,52 @@ def _check_frame(frame):
     return S
 
 
+def _inverse(S: np.ndarray) -> np.ndarray:
+    """The inverse of a frame, which has determinant 1."""
+    (a, b), (c, d) = S
+    return np.array([[d, -b], [-c, a]])
+
+
+def _same_frame(S1, S2) -> bool:
+    return S1 is S2 or (S1 is not None and S2 is not None
+                        and np.array_equal(S1, S2))
+
+
+def _diff_array(C: np.ndarray, shape: QuadForm, t) -> np.ndarray:
+    """Coefficients of the derivative of P e^E along the direction t of the
+    frame variables w, divided by e^E: t.grad P - P (2 A w + l).t, since
+    E = -(w^T A w + l.w + k).  So the class is closed under
+    differentiation."""
+    (a00, a01), (_, a11) = shape.A.tolist()
+    (l0, l1), (t0, t1) = shape.l.tolist(), t
+    n0, n1 = C.shape
+    out = np.zeros((n0 + 1, n1 + 1), dtype=complex)
+    if t0:
+        out[:n0 - 1, :n1] = C[1:] * (t0 * _falling(n0, 1, 1))
+    if t1:
+        out[:n0, :n1 - 1] += C[:, 1:] * (t1 * _falling(n1, 1, 0))
+    out[1:, :n1] -= (2.0 * (a00 * t0 + a01 * t1)) * C
+    out[:n0, 1:] -= (2.0 * (a01 * t0 + a11 * t1)) * C
+    out[:n0, :n1] -= (l0 * t0 + l1 * t1) * C
+    return out
+
+
 class PolyGauss:
     """Polynomial times Gaussian on phase space, in a frame (u, v) = S (q, p).
 
-    ``terms`` and ``shape`` are the polynomial and quadratic form in the
-    frame variables (u, v); ``frame`` is S, a real 2x2 matrix with det 1,
-    or None for the identity.  Only the model constructors set a frame.
-    See the module docstring.
+    ``C`` is the coefficient array of the polynomial in the frame variables
+    (u, v), given to the constructor as an array or a dict, and ``terms``
+    its nonzero entries as a dict; ``shape`` is the quadratic form in (u, v)
+    and ``frame`` is S, a real 2x2 matrix with det 1, or None for the
+    identity.  See the module docstring.
     """
 
-    __slots__ = ("terms", "shape", "hbar", "frame")
+    __slots__ = ("C", "shape", "hbar", "frame")
 
     def __init__(self, terms, shape: QuadForm, hbar: float = 1.0, frame=None):
         if hbar <= 0:
             raise ValueError("hbar must be positive")
-        self.terms = prune_coeffs(dict(terms))
+        self.C = _coefficient_array(terms, 2)
         self.shape = shape
         self.hbar = float(hbar)
         self.frame = _check_frame(frame)
@@ -143,45 +177,59 @@ class PolyGauss:
 
     @classmethod
     def from_symbol(cls, s: PolynomialSymbol, shape: QuadForm, hbar: float = 1.0) -> "PolyGauss":
-        return cls(dict(s.coeffs), shape, hbar)
+        return cls(s.C, shape, hbar)
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients, keyed by exponent pairs (a, b)."""
+        return _entries(self.C)
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(a + b for a, b in self.terms)
+        return _degree(self.C)
 
     def poly(self) -> PolynomialSymbol:
         """The polynomial part, in the frame variables."""
-        return PolynomialSymbol(self.terms)
+        return PolynomialSymbol(self.C)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return not self.terms or max(abs(c) for c in self.terms.values()) <= tol
+        return np.abs(self.C).max() <= tol
 
     def lab(self) -> "PolyGauss":
-        """The same function in the identity frame: the polynomial becomes
-        P o S, A becomes S^T A S and l becomes S^T l.  Squeezed states lose
+        """The same function in the identity frame.  Squeezed states lose
         the digits of the monomial expansion here."""
-        if self.frame is None:
+        return self._in_frame(None)
+
+    def _in_frame(self, S) -> "PolyGauss":
+        """The same function in frame S (None for the identity): with
+        M = S_self S^-1, the polynomial becomes P o M, A becomes M^T A M and
+        l becomes M^T l."""
+        if _same_frame(self.frame, S):
             return self
-        S = self.frame
-        shape = QuadForm(S.T @ self.shape.A @ S, S.T @ self.shape.l, self.shape.k)
-        return PolyGauss(self.poly().linear_map(S).coeffs, shape, self.hbar)
+        M = np.eye(2) if self.frame is None else self.frame
+        if S is not None:
+            M = M @ _inverse(S)
+        shape = QuadForm(M.T @ self.shape.A @ M, M.T @ self.shape.l, self.shape.k)
+        return PolyGauss(_substitute(self.C, M, np.zeros(2)), shape, self.hbar, S)
 
     def _in_common_frame(self, other: "PolyGauss"):
-        """(self, other) unchanged when their frames agree, else both
-        expanded to the identity frame."""
-        S1, S2 = self.frame, other.frame
-        if S1 is S2 or (S1 is not None and S2 is not None
-                        and np.array_equal(S1, S2)):
+        """(self, other) in one frame: their own when the frames agree; the
+        other's frame for a pure polynomial (A = 0 and l = 0), which takes
+        any frame exactly; else the identity frame."""
+        if _same_frame(self.frame, other.frame):
             return self, other
-        return self.lab(), other.lab()
+        if not (self.shape.A.any() or self.shape.l.any()):
+            S = other.frame
+        elif not (other.shape.A.any() or other.shape.l.any()):
+            S = self.frame
+        else:
+            S = None
+        return self._in_frame(S), other._in_frame(S)
 
     # ---- pointwise algebra -------------------------------------------------
 
     def scale(self, c) -> "PolyGauss":
-        return PolyGauss({k: c * v for k, v in self.terms.items()}, self.shape,
-                         self.hbar, self.frame)
+        return PolyGauss(c * self.C, self.shape, self.hbar, self.frame)
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         self._check_compatible(other)
@@ -189,70 +237,42 @@ class PolyGauss:
         if f.shape is not g.shape and not f.shape.allclose(g.shape):
             raise ParameterMismatchError(
                 "cannot add functions with different Gaussian shapes")
-        out = dict(f.terms)
-        for k, c in g.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return PolyGauss(out, f.shape, f.hbar, f.frame)
+        return PolyGauss(_padded_sum(f.C, g.C), f.shape, f.hbar, f.frame)
 
     def __sub__(self, other: "PolyGauss") -> "PolyGauss":
         return self + other.scale(-1.0)
 
     def mul_symbol(self, s: PolynomialSymbol) -> "PolyGauss":
-        """Pointwise product with a polynomial s(q, p): in the frame that is
-        multiplication by s o S^-1."""
-        if self.frame is not None:
-            (a, b), (c, d) = self.frame
-            s = s.linear_map(np.array([[d, -b], [-c, a]]))
-        return PolyGauss(convolve_coeffs(self.terms, s.coeffs), self.shape,
-                         self.hbar, self.frame)
+        """Pointwise product with a polynomial s(q, p), which takes the
+        frame as s o S^-1."""
+        return self.pointwise_mul(PolyGauss.from_symbol(s, QuadForm.zero(),
+                                                        self.hbar))
 
     def pointwise_mul(self, other: "PolyGauss") -> "PolyGauss":
         """Plain (non-star) product; shapes add, polynomials convolve."""
         self._check_compatible(other)
         f, g = self._in_common_frame(other)
-        return PolyGauss(convolve_coeffs(f.terms, g.terms), f.shape + g.shape,
-                         f.hbar, f.frame)
+        return PolyGauss(_convolve(f.C, g.C), f.shape + g.shape, f.hbar,
+                         f.frame)
 
     def conjugate(self) -> "PolyGauss":
-        return PolyGauss({k: np.conj(c) for k, c in self.terms.items()},
-                         self.shape.conjugate(), self.hbar, self.frame)
+        return PolyGauss(np.conj(self.C), self.shape.conjugate(), self.hbar,
+                         self.frame)
 
     # ---- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "PolyGauss":
         """Exact partial derivative with respect to 'q' or 'p'.
 
-        d/du [P e^E] = (dP/du + P dE/du) e^E with dE/du linear, so the class
-        is closed under differentiation; in a frame the chain rule gives
-        d/dx_j = sum_i S_ij d/dw_i with x = (q, p) and w = (u, v).
+        In a frame the chain rule gives d/dx_j = sum_i S_ij d/dw_i with
+        x = (q, p) and w = (u, v); see ``_diff_array``.
         """
         if var not in ("q", "p"):
             raise ValueError("var must be 'q' or 'p'")
         j = 0 if var == "q" else 1
-        if self.frame is None:
-            return PolyGauss(self._diff_terms(j), self.shape, self.hbar)
-        out = {}
-        for i in range(2):
-            for key, c in self._diff_terms(i).items():
-                out[key] = out.get(key, 0.0) + self.frame[i, j] * c
-        return PolyGauss(out, self.shape, self.hbar, self.frame)
-
-    def _diff_terms(self, idx: int) -> dict:
-        """Unpruned terms of the derivative along frame variable idx."""
-        row = self.shape.A[idx]
-        out = {}
-        for (a, b), c in self.terms.items():
-            # polynomial part
-            if idx == 0 and a > 0:
-                out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
-            if idx == 1 and b > 0:
-                out[(a, b - 1)] = out.get((a, b - 1), 0.0) + b * c
-            # exponent part: dE/dw_i = -(2 A w + l)_i
-            out[(a + 1, b)] = out.get((a + 1, b), 0.0) - 2.0 * row[0] * c
-            out[(a, b + 1)] = out.get((a, b + 1), 0.0) - 2.0 * row[1] * c
-            key = (a, b)
-            out[key] = out.get(key, 0.0) - self.shape.l[idx] * c
-        return out
+        t = np.eye(2)[j] if self.frame is None else self.frame[:, j]
+        return PolyGauss(_diff_array(self.C, self.shape, t), self.shape,
+                         self.hbar, self.frame)
 
     # Coefficients are always complex128, so there is no other precision.
     # Kept because perfbench/tracing.py calls it by name.
@@ -276,10 +296,7 @@ class PolyGauss:
         if self.frame is not None:
             S = self.frame
             q, p = S[0, 0] * q + S[0, 1] * p, S[1, 0] * q + S[1, 1] * p
-        poly = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-        for (a, b), c in self.terms.items():
-            poly = poly + c * q ** a * p ** b
-        return poly * np.exp(self.shape.exponent(q, p))
+        return _values(self.C, q, p) * np.exp(self.shape.exponent(q, p))
 
     def _check_compatible(self, other: "PolyGauss"):
         if abs(self.hbar - other.hbar) > 1e-15:
@@ -288,33 +305,34 @@ class PolyGauss:
 
     def __repr__(self):
         framed = "" if self.frame is None else ", framed"
-        return (f"PolyGauss(degree={self.degree}, nterms={len(self.terms)}, "
-                f"hbar={self.hbar}{framed})")
+        return (f"PolyGauss(degree={self.degree}, "
+                f"nterms={np.count_nonzero(self.C)}, hbar={self.hbar}{framed})")
 
 
 class PolyGauss1D:
-    """One-variable polynomial-Gaussian, the result of a marginal."""
+    """One-variable polynomial-Gaussian, the result of a marginal: ``C`` is
+    the coefficient array, ``coeffs`` its nonzero entries keyed by power."""
 
-    __slots__ = ("coeffs", "a2", "a1", "a0", "var")
+    __slots__ = ("C", "a2", "a1", "a0", "var")
 
     def __init__(self, coeffs, a2, a1=0.0, a0=0.0, var="q"):
-        self.coeffs = {int(a): complex(c) for a, c in dict(coeffs).items()
-                       if c != 0.0}
+        self.C = _coefficient_array(coeffs, 1)
         self.a2 = complex(a2)
         self.a1 = complex(a1)
         self.a0 = complex(a0)
         self.var = var
 
     @property
+    def coeffs(self) -> dict:
+        return _entries(self.C)
+
+    @property
     def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
+        return _degree(self.C)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        poly = np.zeros(x.shape, dtype=complex)
-        for a, c in self.coeffs.items():
-            poly = poly + c * x ** a
-        return poly * np.exp(-(self.a2 * x * x + self.a1 * x + self.a0))
+        return _values(self.C, x) * np.exp(-(self.a2 * x * x + self.a1 * x + self.a0))
 
     def integrate(self):
         if self.a2.real <= 0.0:
@@ -322,7 +340,7 @@ class PolyGauss1D:
         base = np.sqrt(np.pi / self.a2) * np.exp(
             self.a1 * self.a1 / (4.0 * self.a2) - self.a0)
         # the mean of the polynomial under N(-a1 / (2 a2), 1 / (2 a2))
-        C = _smooth(_dense(self.coeffs, 1), [[0.5 / self.a2]])
+        C = _smooth(self.C, [[0.5 / self.a2]])
         mean = _substitute(C, np.zeros((1, 0)), [-self.a1 / (2.0 * self.a2)])
         return base * complex(mean)
 
@@ -353,13 +371,13 @@ def integrate(f: PolyGauss) -> complex:
     """
     if not f.shape.is_normalizable():
         raise NonNormalizableError("Re(A) is not positive definite")
-    if not f.terms:
+    if not f.C.any():
         return 0.0 + 0.0j
     A, l, k = f.shape.A, f.shape.l, f.shape.k
     Ainv = np.linalg.inv(A)
     base = np.pi / _sqrt_det_principal(A) * np.exp(0.25 * l @ Ainv @ l - k)
     # the mean of the polynomial under N(-A^-1 l / 2, A^-1 / 2)
-    C = _smooth(_dense(f.terms, 2), 0.5 * Ainv)
+    C = _smooth(f.C, 0.5 * Ainv)
     mean = _substitute(C, np.zeros((2, 0)), -0.5 * Ainv @ l)
     return complex(base * mean)
 
@@ -394,11 +412,9 @@ def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
     K = np.outer(s, s) / (2.0 * alpha)
     W = S[:, [keep]] - np.outer(s, cross / (2.0 * alpha))
     w0 = -s * beta0 / (2.0 * alpha)
-    C = _substitute(_smooth(_dense(f.terms, 2), K), W, w0)
-    pref = np.sqrt(np.pi / alpha)
-    coeffs = {a: pref * c for (a,), c in _sparse(C).items()}
+    C = np.sqrt(np.pi / alpha) * _substitute(_smooth(f.C, K), W, w0)
     # remaining exponent: -(A_kk x^2 + l_k x + k) + (cross*x + beta0)^2/(4 alpha)
     a2 = A[keep, keep] - cross * cross / (4.0 * alpha)
     a1 = l[keep] - 2.0 * cross * beta0 / (4.0 * alpha)
     a0 = k - beta0 * beta0 / (4.0 * alpha)
-    return PolyGauss1D(coeffs, a2, a1, a0, var="q" if axis == "p" else "p")
+    return PolyGauss1D(C, a2, a1, a0, var="q" if axis == "p" else "p")

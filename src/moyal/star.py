@@ -38,10 +38,9 @@ whose coefficients are the entries of the small product Y^T S Z, added
 up over the exponent sums of their two x-monomials.  numpy's own loop
 forms the product, so the result does not depend on the BLAS thread count.
 
-Operands in the same frame S (see ``moyal.polygauss``) are starred in that
-frame and the result keeps it, since (F o S) * (G o S) = (F * G) o S for a
-linear map S of unit determinant; operands in different frames are first
-expanded to the identity frame.
+The operands are starred in a common frame S (``moyal.polygauss``), which
+the result keeps, since (F o S) * (G o S) = (F * G) o S for a linear map S
+of unit determinant.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import numpy as np
 
 from .errors import StarSingularError
 from .polygauss import PolyGauss, QuadForm
-from .symbols import _dense, _smooth, _sparse
+from .symbols import _smooth
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _S = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
@@ -149,25 +148,42 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _drop_residue(R: np.ndarray, shape: QuadForm) -> np.ndarray:
+    """R with the entries at or below 1e-14 of the largest weight
+    |R_ab| w_u^a w_v^b set to zero, w = sqrt(diag((Re A)^-1)) the widths of
+    the result's Gaussian.  The kernel fills every degree up to
+    deg f + deg g, and where the product has a lower degree the entries
+    above it are cancellation residue of that size.  Without a decaying
+    Gaussian (polynomial * polynomial) R is returned as it is."""
+    (a, b), (_, d) = shape.A.real.tolist()
+    det = a * d - b * b
+    if not (a > 0.0 and det > 0.0):
+        return R
+    weight = np.abs(R) * np.outer((d / det) ** (0.5 * np.arange(R.shape[0])),
+                                  (a / det) ** (0.5 * np.arange(R.shape[1])))
+    R[weight <= 1e-14 * weight.max()] = 0.0
+    return R
+
+
 def polygauss_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     """Exact star product of two polynomial-Gaussians.
 
     Smoothing plus the power-table contraction described in the module
-    docstring; the result polynomial degree is at most deg(f) + deg(g).
+    docstring, then ``_drop_residue``; the result polynomial degree is at
+    most deg(f) + deg(g).
     """
     f._check_compatible(g)
     f, g = f._in_common_frame(g)
     pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
-    F, G = _dense(f.terms, 2), _dense(g.terms, 2)
+    F, G = f.C, g.C
     deg_f, deg_g = max(f.degree, 0), max(g.degree, 0)
     S = _smooth(np.multiply.outer(F, G), K).reshape(F.size, G.size)
     S = S[_triangle(*F.shape, deg_f)[2][:, None], _triangle(*G.shape, deg_g)[2]]
     Y = _power_table(W[:2], w0[:2], F.shape, deg_f)
     Z = _power_table(W[2:], w0[2:], G.shape, deg_g)
     Q = _matmul(_matmul(Y.T, S), Z)
-    idx, side = _product_index(deg_f, deg_g).ravel(), deg_f + deg_g + 1
-    R = np.empty(side * side, dtype=complex)
-    R.real = np.bincount(idx, Q.real.ravel(), side * side)
-    R.imag = np.bincount(idx, Q.imag.ravel(), side * side)
-    return PolyGauss(_sparse(pref * R.reshape(side, side)), shape, f.hbar,
-                     f.frame)
+    side = deg_f + deg_g + 1
+    R = np.zeros(side * side, dtype=complex)
+    np.add.at(R, _product_index(deg_f, deg_g).ravel(), Q.ravel())
+    R = _drop_residue(pref * R.reshape(side, side), shape)
+    return PolyGauss(R, shape, f.hbar, f.frame)

@@ -1,42 +1,94 @@
-"""Sparse complex polynomials in the two phase-space variables (q, p).
+"""Complex polynomials in the two phase-space variables (q, p).
 
-Coefficients are stored in a dict keyed by exponent pairs, e.g.
+A polynomial is one dense complex array C, C[a, b] the coefficient of
+q**a p**b, without trailing all-zero rows and columns (1 x 1 for the zero
+polynomial).  Constructors take such an array or a dict keyed by exponent
+pairs, e.g.
 
     {(0, 0): 1.0, (2, 0): 0.5, (1, 1): -0.25j}
 
-represents 1 + q**2/2 - i*q*p/4.  Exponents are nonnegative integers.
-Instances are treated as immutable; every operation returns a new object.
+for 1 + q**2/2 - i*q*p/4; ``coeffs`` reads the nonzero entries back as a
+dict.  Every coefficient is kept, however small.  A complex array is taken
+over without a copy and made read-only.  Instances are treated as
+immutable; every operation returns a new object.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from math import factorial, perm
+from operator import mul
 
 import numpy as np
 
-PRUNE_REL_TOL = 1e-14
+
+def _coefficient_array(coeffs, ndim: int) -> np.ndarray:
+    """A coefficient array, or a dict keyed by exponent tuples (ints for one
+    axis), as a read-only complex array without trailing all-zero rows and
+    columns."""
+    if not isinstance(coeffs, np.ndarray):
+        coeffs = dict(coeffs or {})
+        keys = [k if isinstance(k, tuple) else (k,) for k in coeffs] or [(0,) * ndim]
+        C = np.zeros([max(axis) + 1 for axis in zip(*keys)], dtype=complex)
+        for k, c in zip(keys, coeffs.values()):
+            C[k] = c
+        coeffs = C
+    C = coeffs.astype(complex, copy=False)
+    if not (C.size and np.count_nonzero(C[-1]) and np.count_nonzero(C[..., -1])):
+        nonzero = np.nonzero(C)
+        C = (C[tuple(slice(0, i.max() + 1) for i in nonzero)] if nonzero[0].size
+             else np.zeros((1,) * ndim, dtype=complex))
+    C.flags.writeable = False
+    return C
 
 
-def prune_coeffs(coeffs: dict) -> dict:
-    """Drop coefficients at or below PRUNE_REL_TOL times the largest one;
-    the kept ones are stored as complex."""
-    if not coeffs:
-        return {}
-    biggest = max(abs(c) for c in coeffs.values())
-    if biggest == 0.0:
-        return {}
-    cut = PRUNE_REL_TOL * biggest
-    return {k: complex(c) for k, c in coeffs.items() if abs(c) > cut}
+def _entries(C: np.ndarray) -> dict:
+    """The nonzero entries of a coefficient array, keyed by exponent pairs
+    (by ints for one axis)."""
+    idx = np.nonzero(C)
+    keys = idx[0].tolist() if C.ndim == 1 else zip(*(i.tolist() for i in idx))
+    return dict(zip(keys, C[idx].tolist()))
 
 
-def convolve_coeffs(c1: dict, c2: dict) -> dict:
-    """Coefficients of the product of two polynomials (unpruned)."""
-    out = {}
-    for (a1, b1), x1 in c1.items():
-        for (a2, b2), x2 in c2.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, 0.0) + x1 * x2
+def _degree(C: np.ndarray) -> int:
+    """Total degree of a coefficient array; -1 when it is all zero."""
+    idx = np.nonzero(C)
+    return int(sum(idx).max()) if idx[0].size else -1
+
+
+def _padded_sum(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X + Y for 2D coefficient arrays of any two shapes."""
+    out = np.zeros(np.maximum(X.shape, Y.shape), dtype=complex)
+    out[:X.shape[0], :X.shape[1]] = X
+    out[:Y.shape[0], :Y.shape[1]] += Y
+    return out
+
+
+def _convolve(X: np.ndarray, Y: np.ndarray, out=None) -> np.ndarray:
+    """Coefficients of the product of two polynomials: the full 2D
+    convolution of their arrays, one shifted copy of the denser per entry
+    of the sparser; added into the corner of out when that is given."""
+    if np.count_nonzero(X) > np.count_nonzero(Y):
+        X, Y = Y, X
+    n0, n1 = Y.shape
+    if out is None:
+        out = np.zeros((X.shape[0] + n0 - 1, X.shape[1] + n1 - 1), dtype=complex)
+    for a, b in zip(*(i.tolist() for i in np.nonzero(X))):
+        out[a:a + n0, b:b + n1] += X[a, b] * Y
+    return out
+
+
+def _values(C: np.ndarray, *xs) -> np.ndarray:
+    """The polynomial with coefficient array C at points xs, one array per
+    axis: a sum over the nonzero entries, term by term, with the powers
+    formed by repeated multiplication."""
+    powers = [list(accumulate([x] * (n - 1), mul, initial=np.ones_like(x)))
+              for x, n in zip(xs, C.shape)]
+    out = np.zeros(np.broadcast(*xs).shape, dtype=complex)
+    nonzero = np.nonzero(C)
+    for idx, c in zip(zip(*(i.tolist() for i in nonzero)), C[nonzero].tolist()):
+        out += c * reduce(mul, [x[i] for x, i in zip(powers, idx)])
     return out
 
 
@@ -49,23 +101,6 @@ def convolve_coeffs(c1: dict, c2: dict) -> dict:
 # smooth here and substitute through power tables of their operands' affine
 # forms (``moyal.star``); ``_substitute`` is the route for integrals,
 # marginals and frames (``linear_map``).
-
-
-def _dense(coeffs: dict, ndim: int) -> np.ndarray:
-    """Coefficient dict (keys: exponent tuples, or ints when ndim is 1) as a
-    dense complex array with ndim axes."""
-    if not coeffs:
-        return np.zeros((1,) * ndim, dtype=complex)
-    keys = np.array(list(coeffs), dtype=int).reshape(len(coeffs), ndim)
-    C = np.zeros(tuple(keys.max(axis=0) + 1), dtype=complex)
-    C[tuple(keys.T)] = list(coeffs.values())
-    return C
-
-
-def _sparse(C: np.ndarray) -> dict:
-    """The nonzero entries of a coefficient array, keyed by exponent tuples."""
-    idx = np.nonzero(C)
-    return dict(zip(zip(*(i.tolist() for i in idx)), C[idx].tolist()))
 
 
 @lru_cache(maxsize=1024)
@@ -133,10 +168,10 @@ def _substitute(C: np.ndarray, W, w0) -> np.ndarray:
 class PolynomialSymbol:
     """A finite complex polynomial in (q, p), the classical-symbol carrier."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("C",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = prune_coeffs(dict(coeffs) if coeffs else {})
+        self.C = _coefficient_array(coeffs, 2)
 
     @classmethod
     def constant(cls, c) -> "PolynomialSymbol":
@@ -147,23 +182,22 @@ class PolynomialSymbol:
         return cls({})
 
     @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients, keyed by exponent pairs (a, b)."""
+        return _entries(self.C)
+
+    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(a + b for a, b in self.coeffs)
+        return _degree(self.C)
 
     def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return PolynomialSymbol(out)
+        return PolynomialSymbol(_padded_sum(self.C, _coerce(other).C))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolynomialSymbol({k: -c for k, c in self.coeffs.items()})
+        return PolynomialSymbol(-self.C)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -173,8 +207,8 @@ class PolynomialSymbol:
 
     def __mul__(self, other):
         if not isinstance(other, PolynomialSymbol) and np.isscalar(other):
-            return PolynomialSymbol({k: c * other for k, c in self.coeffs.items()})
-        return PolynomialSymbol(convolve_coeffs(self.coeffs, _coerce(other).coeffs))
+            return PolynomialSymbol(self.C * other)
+        return PolynomialSymbol(_convolve(self.C, _coerce(other).C))
 
     __rmul__ = __mul__
 
@@ -188,49 +222,31 @@ class PolynomialSymbol:
 
     def derivative(self, dq: int = 0, dp: int = 0) -> "PolynomialSymbol":
         """Exact partial derivative d^dq/dq^dq d^dp/dp^dp."""
-        out = self
-        for _ in range(dq):
-            out = PolynomialSymbol(
-                {(a - 1, b): a * c for (a, b), c in out.coeffs.items() if a > 0})
-        for _ in range(dp):
-            out = PolynomialSymbol(
-                {(a, b - 1): b * c for (a, b), c in out.coeffs.items() if b > 0})
-        return out
+        C = self.C
+        return PolynomialSymbol(
+            C[dq:, dp:] * _falling(C.shape[0], dq, 1) * _falling(C.shape[1], dp, 0))
 
     def linear_map(self, M) -> "PolynomialSymbol":
         """The composition s o M, i.e. the polynomial x -> s(M x), for a
         2x2 matrix M."""
-        C = _substitute(_dense(self.coeffs, 2), M, np.zeros(2))
-        return PolynomialSymbol(_sparse(C))
+        return PolynomialSymbol(_substitute(self.C, M, np.zeros(2)))
 
     def evaluate(self, q, p):
         """Evaluate at scalar or array arguments (numpy broadcasting)."""
-        q = np.asarray(q)
-        p = np.asarray(p)
-        out = np.zeros(np.broadcast(q, p).shape, dtype=complex)
-        for (a, b), c in self.coeffs.items():
-            out = out + c * q ** a * p ** b
-        return out
+        return _values(self.C, np.asarray(q), np.asarray(p))
 
     def conjugate(self) -> "PolynomialSymbol":
-        return PolynomialSymbol({k: np.conj(c) for k, c in self.coeffs.items()})
+        return PolynomialSymbol(np.conj(self.C))
 
     def is_real(self, tol: float = 1e-12) -> bool:
-        if not self.coeffs:
-            return True
-        biggest = max(abs(c) for c in self.coeffs.values())
-        return all(abs(c.imag) <= tol * biggest for c in self.coeffs.values())
+        return bool(np.all(np.abs(self.C.imag) <= tol * np.abs(self.C).max()))
 
     def distance(self, other) -> float:
         """Max coefficient-wise absolute difference."""
-        other = _coerce(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        if not keys:
-            return 0.0
-        return max(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) for k in keys)
+        return float(np.abs(_padded_sum(self.C, -_coerce(other).C)).max())
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.degree < 0:
             return "PolynomialSymbol(0)"
         parts = [f"({c:.6g})*q^{a}*p^{b}" for (a, b), c in sorted(self.coeffs.items())]
         return "PolynomialSymbol(" + " + ".join(parts) + ")"

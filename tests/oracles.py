@@ -24,7 +24,7 @@ from moyal.grid import (GridField, GridSpec, _checked_decay, _decay_warnings,
 from moyal.models import laguerre_pair
 from moyal.polygauss import PolyGauss
 from moyal.star import _star_system
-from moyal.symbols import _dense, _smooth, _sparse, _substitute
+from moyal.symbols import _smooth, _substitute
 
 
 def quad2d(f, half: float, epsabs: float = 1e-11) -> float:
@@ -282,9 +282,8 @@ def polygauss_star_horner(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     f._check_compatible(g)
     f, g = f._in_common_frame(g)
     pref, shape, W, w0, K = _star_system(f.shape, g.shape, f.hbar)
-    P = np.multiply.outer(_dense(f.terms, 2), _dense(g.terms, 2))
-    R = _substitute(_smooth(P, K), W, w0)
-    return PolyGauss(_sparse(pref * R), shape, f.hbar, f.frame)
+    R = _substitute(_smooth(np.multiply.outer(f.C, g.C), K), W, w0)
+    return PolyGauss(pref * R, shape, f.hbar, f.frame)
 
 
 def star_numeric_loops(A: GridField, B: GridField, method: str) -> np.ndarray:
@@ -421,10 +420,11 @@ def read_grid_csv_lines(text: str):
             continue
         rows.append([float(t) for t in line.split(",")])
     data = np.asarray(rows)
-    shape = (int(meta["nq"]), int(meta["np"]))
+    values = np.zeros(len(rows), complex)
+    values.real = data[:, 2]
     if int(meta.get("complex", "0")):
-        return (data[:, 2] + 1j * data[:, 3]).reshape(shape), meta
-    return data[:, 2].astype(complex).reshape(shape), meta
+        values.imag = data[:, 3]
+    return values.reshape(int(meta["nq"]), int(meta["np"])), meta
 
 
 def read_grid_csv_loadtxt(source):
@@ -461,11 +461,12 @@ def read_grid_csv_loadtxt(source):
     if not ((np.abs(q - spec.qs[:, None]) <= 1e-12 * (spec.qmax - spec.qmin)).all()
             and (np.abs(p - spec.ps) <= 1e-12 * (spec.pmax - spec.pmin)).all()):
         raise ValueError("q,p columns do not match the declared grid")
+    values = np.zeros(len(data), complex)
+    values.real = data[:, 2]
     if int(meta.get("complex", "0")):
-        values = (data[:, 2] + 1j * data[:, 3]).reshape(shape)
-    else:
-        values = data[:, 2].astype(complex).reshape(shape)
-    return GridField(spec, values, float(meta.get("hbar", "1")), warnings), meta
+        values.imag = data[:, 3]
+    return (GridField(spec, values.reshape(shape), float(meta.get("hbar", "1")),
+                      warnings), meta)
 
 
 def _radical_inverse_scalar(n: int, base: int) -> float:

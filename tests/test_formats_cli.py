@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from moyal import formats, negativity
@@ -203,6 +203,8 @@ def test_read_grid_csv_matches_line_oracle(is_complex, tmp_path):
     want, want_meta = read_grid_csv_lines(path.read_text())
     assert from_path.values.tobytes() == from_file.values.tobytes()
     assert from_path.values.tobytes() == want.tobytes()
+    # signed zeros included (complex(0.25, -0.0) in the complex layout)
+    assert from_path.values.tobytes() == field.values.tobytes()
     assert meta == meta_fh == want_meta
     assert from_path.spec == field.spec and from_path.hbar == 0.7
     assert from_path.warnings == from_file.warnings == field.warnings
@@ -241,16 +243,25 @@ _BIT_PATTERNS = st.one_of(
 
 @given(st.lists(_BIT_PATTERNS, min_size=128, max_size=128),
        st.booleans())
+# -0.0 real parts next to imaginary parts 1.0, so the layout is complex
+@example([1 << 63] * 64 + [0x3FF0000000000000] * 64, True)
 def test_read_grid_csv_bit_patterns_match_oracles(patterns, is_complex):
     x = np.array(patterns, dtype=np.uint64).view(np.float64)
     x[~np.isfinite(x)] = 0.0
-    vals = x[:64] + 1j * x[64:] if is_complex else x[:64]
+    # part by part: x + 1j * y turns a -0.0 real part into +0.0
+    vals = np.zeros(64, complex)
+    vals.real = x[:64]
+    if is_complex:
+        vals.imag = x[64:]
     field = GridField(GridSpec(-2.0, 2.0, -1.0, 1.0, 8, 8), vals.reshape(8, 8))
     buf = io.StringIO()
     write_grid_csv(field, buf)
-    got = _read_three_ways(buf.getvalue())
-    if not is_complex:
-        assert got.real.tobytes() == field.values.real.tobytes()
+    text = buf.getvalue()
+    got = _read_three_ways(text)
+    # the writer drops an imaginary part below 1e-12 of the peak
+    want = (field.values if "# complex=1" in text.splitlines()
+            else field.values.real.astype(complex))
+    assert got.tobytes() == want.tobytes()
 
 
 def _with_w_tokens(tokens):
@@ -444,8 +455,9 @@ def test_read_grid_csv_rejects_what_loadtxt_dropped():
 
 
 def test_grid_csv_reader_streams_blocks(tmp_path):
-    # the reader holds the field and a block of lines, not the file's text
-    # or a grid-sized table of all columns; GridField then copies the field
+    # the reader holds a real field and a block of lines, not the file's
+    # text or a grid-sized table of all columns; GridField converts the field
+    # to complex and keeps that array without a further copy
     spec = GridSpec(-3.0, 3.0, -3.0, 3.0, 601, 601)
     Q, P = spec.meshgrid()
     field = GridField(spec, np.cos(Q * P) * np.exp(-(Q ** 2 + P ** 2) / 4))
@@ -459,7 +471,17 @@ def test_grid_csv_reader_streams_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert back.values.tobytes() == field.values.tobytes()
-    assert peak < 2 * back.values.nbytes + 1e6
+    assert peak < 1.5 * back.values.nbytes + 1e6
+
+
+def test_grid_field_keeps_its_own_copy_of_a_complex_input():
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 8, 9)
+    vals = np.arange(72.0).reshape(8, 9) + 0.5j
+    field = GridField(spec, vals)
+    vals[0, 0] = 99.0
+    assert field.values[0, 0] == 0.5j and not field.values.flags.writeable
+    real = np.arange(72.0).reshape(8, 9)
+    assert not np.shares_memory(GridField(spec, real).values, real)
 
 
 def test_cli_csv_bytes_match_per_value_oracle(tmp_path):

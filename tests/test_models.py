@@ -4,7 +4,8 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moyal import apply, bopp_from_symbol, eigen_residual, integrate
+from moyal import (apply, bopp_from_symbol, eigen_residual, halton_points,
+                   integrate)
 from moyal.models import (DampedParams, HeliumParams, annihilation_symbol,
                           creation_symbol, damped_energy, damped_hamiltonian,
                           damped_quasiamplitude, damped_wigner,
@@ -89,14 +90,30 @@ def test_harmonic_wigner_matches_projector():
     assert np.abs(vals - harmonic_wigner(3).evaluate(Q, P).real).max() < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "silent truncation of high-n states: PolyGauss prunes monomial "
-    "coefficients at or below PRUNE_REL_TOL of the largest, which drops "
-    "real terms of L_20 (221 of 231 kept); 4.4e3 comes back for 2.1e-3"))
 def test_harmonic_wigner_n20_evaluate_matches_recurrence():
     value = harmonic_wigner(20).evaluate(3.0, 0.0)
     ref = harmonic_wigner_values(20, 3.0, 0.0)
     assert abs(value - ref) <= 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize("omega", [0.01, 1.0, 100.0])
+def test_harmonic_wigner_high_n_and_any_omega_match_recurrence(omega):
+    # every monomial coefficient is kept, however small next to the largest:
+    # at omega = 100 the q and p coefficients of L_n(y) differ by 200^k
+    # against 0.02^k, and at n = 20 real terms sit below 1e-14 of the peak.
+    # The points are the Halton set of eigen_residual on a box scaled to the
+    # state's turning points.
+    for n in (0, 1, 5, 10, 15, 20, 25):
+        W = harmonic_wigner(n, omega=omega)
+        qt, pt = np.sqrt((2 * n + 1) / omega), np.sqrt((2 * n + 1) * omega)
+        pts = halton_points(200, (-1.5 * qt, 1.5 * qt, -1.5 * pt, 1.5 * pt))
+        q, p = pts[:, 0], pts[:, 1]
+        err = np.pi * np.abs(
+            W.evaluate(q, p) - harmonic_wigner_values(n, q, p, 1.0, omega)).max()
+        # the monomial basis loses about 0.8 digits per unit of n
+        tol = 1e-9 if n <= 15 else 1e-4
+        assert err <= tol, (n, err)
+        assert abs(integrate(W) - 1.0) <= tol, n
 
 
 # ---- helium ----------------------------------------------------------------

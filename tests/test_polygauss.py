@@ -123,11 +123,16 @@ def test_pointwise_mul_shapes_add():
     assert np.allclose(fg.shape.A, 1.5 * np.eye(2))
 
 
-def test_pruning_relative_to_largest():
+def test_constructor_keeps_tiny_coefficients():
+    # no coefficient is dropped for being small next to the largest one;
+    # only trailing all-zero rows and columns leave the array
     f = PolyGauss({(0, 0): 1.0, (4, 4): 1e-20}, STD, 1.0)
-    assert (4, 4) not in f.terms
-    g = PolyGauss({(0, 0): 1e-20, (4, 4): 3e-20}, STD, 1.0)
-    assert (0, 0) in g.terms  # relative rule keeps same-scale smallness
+    assert f.terms == {(0, 0): 1.0, (4, 4): 1e-20}
+    assert f.C.shape == (5, 5) and f.degree == 8
+    g = PolyGauss({(0, 0): 1e-20, (2, 0): 0.0, (0, 1): 3e-20}, STD, 1.0)
+    assert g.terms == {(0, 0): 1e-20, (0, 1): 3e-20}
+    assert g.C.shape == (1, 2)
+    assert PolyGauss({(3, 1): 0.0}, STD, 1.0).C.shape == (1, 1)
 
 
 # ---- frames ----------------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moyal import PolyGauss, QuadForm, StarSingularError, integrate, polygauss_star
+from moyal import (PolyGauss, QuadForm, StarSingularError, apply,
+                   bopp_from_symbol, halton_points, integrate, polygauss_star)
 from moyal.grid import GridSpec, grid_distance, sample, star_numeric
-from moyal.models import (DampedParams, damped_quasiamplitude, damped_wigner,
+from moyal.models import (DampedParams, damped_hamiltonian,
+                          damped_quasiamplitude, damped_wigner,
                           harmonic_wigner, oscillator_state)
 
 from oracles import polygauss_star_horner, polygauss_star_recursive
@@ -160,6 +162,33 @@ def test_mixed_frame_star_against_grid():
     num = star_numeric(sample(f, spec), sample(g, spec), method="fft")
     sup, l2 = grid_distance(sample(exact, spec), num)
     assert sup <= 1e-6 and l2 <= 1e-6
+
+
+@pytest.mark.parametrize("W", [
+    pytest.param(harmonic_wigner(n), id=f"harmonic-{n}") for n in range(5)] + [
+    pytest.param(damped_wigner(DampedParams(lam, n)), id=f"damped-{lam}-{n}")
+    for lam in (0.5, 0.9) for n in range(6)])
+def test_purity_product_keeps_the_exponent_set(W):
+    # W * W = W / (2 pi) has W's degree, but the kernel fills every degree up
+    # to twice that; the entries above are cancellation residue, which the
+    # star product drops against the widths of the result's Gaussian
+    assert set(polygauss_star(W, W).terms) == set(W.terms)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_polynomial_operand_takes_the_other_frame(side):
+    # a pure polynomial (A = 0, l = 0) is composed with S^-1 and starred in
+    # the state's squeeze frame, where the kernel agrees with the Bopp
+    # operator; expanding the squeezed state to the identity frame instead
+    # loses most of the digits
+    H, W = damped_hamiltonian(0.9), damped_wigner(DampedParams(0.9, 10))
+    poly = PolyGauss.from_symbol(H, QuadForm.zero())
+    got = polygauss_star(poly, W) if side == "left" else polygauss_star(W, poly)
+    assert np.array_equal(got.frame, W.frame)
+    pts = halton_points(200, (-6.0, 6.0, -6.0, 6.0))
+    want = apply(bopp_from_symbol(H, side, 1.0), W).evaluate(pts[:, 0], pts[:, 1])
+    gap = np.abs(got.evaluate(pts[:, 0], pts[:, 1]) - want).max()
+    assert gap <= 1e-10 * np.abs(want).max()
 
 
 def _coefficient_gap(got, want):

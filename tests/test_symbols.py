@@ -60,9 +60,12 @@ def test_conjugate_and_reality():
     assert (s + s.conjugate()).is_real()
 
 
-def test_pruning_drops_noise():
+def test_constructor_keeps_tiny_coefficients():
     s = PolynomialSymbol({(0, 0): 1.0, (5, 5): 1e-20})
-    assert (5, 5) not in s.coeffs
+    assert s.coeffs == {(0, 0): 1.0, (5, 5): 1e-20}
+    assert s.degree == 10
+    # a sum that cancels exactly leaves the zero polynomial
+    assert (s - s).coeffs == {} and (s - s).C.shape == (1, 1)
 
 
 def test_distance():
