@@ -19,7 +19,7 @@ along the frame variables, where F is short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -30,7 +30,14 @@ from .symbols import PolynomialSymbol, _convolve
 
 
 def _triples(s: PolynomialSymbol, side: str, hbar: float) -> tuple:
-    """(coefficient polynomial, dq-order, dp-order) triples of s* or *s."""
+    """(coefficient polynomial, dq-order, dp-order) triples of s* or *s,
+    built once per coefficient array, side and hbar."""
+    return _triples_of(s.C.shape, s.C.tobytes(), side, hbar)
+
+
+@lru_cache(maxsize=256)
+def _triples_of(shape: tuple, data: bytes, side: str, hbar: float) -> tuple:
+    s = PolynomialSymbol(np.frombuffer(data, dtype=complex).reshape(shape))
     h = hbar if side == "left" else -hbar
     deg = max(s.degree, 0)
     triples = []
@@ -47,17 +54,17 @@ def _triples(s: PolynomialSymbol, side: str, hbar: float) -> tuple:
 
 @dataclass(frozen=True)
 class BoppOperator:
-    """Finite list of (coefficient polynomial, dq-order, dp-order) triples,
-    built from the symbol s when first read."""
+    """Finite list of (coefficient polynomial, dq-order, dp-order) triples
+    of the symbol s, built once per coefficient array, side and hbar."""
 
     side: str
     hbar: float
     symbol: PolynomialSymbol
 
-    @cached_property
+    @property
     def terms(self) -> tuple:
         """The triples in the lab variables; apply on a framed function
-        builds its own in the frame variables instead."""
+        takes those of s o S^-1, in the frame variables, instead."""
         return _triples(self.symbol, self.side, self.hbar)
 
     @property
@@ -99,4 +106,4 @@ def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
     out = np.zeros((max(f.C.shape) + max(op.symbol.degree, 0),) * 2, dtype=complex)
     for coeff, dq, dp in terms:
         _convolve(coeff.C, derivative(dq, dp), out)
-    return PolyGauss(out, f.shape, f.hbar, f.frame)
+    return PolyGauss._new(out, f.shape, f.hbar, f.frame)

@@ -46,7 +46,12 @@ def laguerre(n: int, y):
 
 def laguerre_pair(n: int, y):
     """(L_n(y), L_{n-1}(y)); the pair gives the derivative via
-    y L_n'(y) = n (L_n(y) - L_{n-1}(y))."""
+    y L_n'(y) = n (L_n(y) - L_{n-1}(y)).
+
+    On arrays each step L_{k+1} = ((2k + 1 - y) L_k - k L_{k-1}) / (k + 1)
+    runs in place on three rotating buffers, in the order of that formula,
+    so the values are bitwise those of the allocating loop.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     y = np.asarray(y, dtype=float)
@@ -54,8 +59,19 @@ def laguerre_pair(n: int, y):
     cur = 1.0 - y
     if n == 0:
         return prev, np.zeros_like(y)
+    if y.ndim == 0:
+        # numpy scalars have no buffer to update in place
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1 - y) * cur - k * prev) / (k + 1)
+        return cur, prev
+    nxt = np.empty_like(y)
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - y) * cur - k * prev) / (k + 1)
+        np.subtract(2 * k + 1, y, out=nxt)
+        nxt *= cur
+        prev *= k
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
     return cur, prev
 
 

@@ -23,7 +23,17 @@ Two deliberately independent routes:
   popped panel and of up to seven more unrefined panels at the top of the
   heap (those the loop would still reach if no refinement added error),
   and the cached results are used as their panels are popped, so
-  the estimate is bitwise that of refining one panel per call.
+  the estimate is bitwise that of refining one panel per call.  Each call
+  gets the GL8 nodes of its boxes as Q of shape (B, 8, 1) and P of shape
+  (B, 1, 8), and both panel sums contract the values with one table of
+  the 64 product weights.
+
+* eta_grid_damped: eta_grid on the damped W_n in its principal frame
+  (s, t), the 45-degree rotation of (q, p).  There the support is an
+  axis-aligned rectangle and W_n = ((-1)^n / pi) exp(-alpha s^2 / 2)
+  exp(-beta t^2 / 2) L_n(alpha s^2 + beta t^2), so the squares and the
+  Gaussian factors are formed once per node row and column; the sum y,
+  the Laguerre recurrence and two products run on every node.
 
 The sequence eta(n) is strictly increasing and lambda-free; the reference
 values below anchor n = 0..9.
@@ -38,7 +48,7 @@ import numpy as np
 
 from .errors import BoxTooSmallError, ConvergenceError
 from .grid import GridField
-from .models import DampedParams, damped_wigner_values, laguerre_pair
+from .models import DampedParams, laguerre_pair
 
 # Reference eta(n) for the damped oscillator, n = 0..9 (lambda-independent);
 # the acceptance anchor for the radial method at 1e-8 absolute.
@@ -151,6 +161,8 @@ def eta_radial(n: int, lam: float = 0.0) -> NegativityRecord:
 # ---------------------------------------------------------------------------
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+# the 64 weights w_i w_j of the GL8 x GL8 product rule, row by row
+_W64 = np.outer(_GL8[1], _GL8[1]).ravel()
 _MAX_PANELS = 60_000
 # panels refined per func call: the popped panel plus the next unrefined
 # ones at the top of the heap (8 boxes x 16 x 64 nodes = 8192 points)
@@ -171,18 +183,26 @@ def _quarters(boxes):
 
 
 def _eval_panels(func, boxes):
-    """(int(|W|-W), int W) on each box row, one vectorized call for all."""
-    nodes, weights = _GL8
+    """(int(|W|-W), int W) on each box row, one vectorized call for all.
+
+    func gets Q of shape (B, 8, 1) and P of shape (B, 1, 8), the GL8 nodes
+    of each box.  Both sums contract the values with one table of the 64
+    node weights and scale by the box's half-widths; |W| - W = -2 min(W, 0)
+    exactly.  einsum's loop reduces each row in the same order whatever the
+    number of rows, so a panel's sums do not depend on its batch.
+    """
+    nodes, _ = _GL8
     qm = 0.5 * (boxes[:, 0] + boxes[:, 1])
     qr = 0.5 * (boxes[:, 1] - boxes[:, 0])
     pm = 0.5 * (boxes[:, 2] + boxes[:, 3])
     pr = 0.5 * (boxes[:, 3] - boxes[:, 2])
     Q = qm[:, None, None] + qr[:, None, None] * nodes[None, :, None]
     P = pm[:, None, None] + pr[:, None, None] * nodes[None, None, :]
-    vals = np.real(func(Q, P))
-    w2 = np.outer(weights, weights)[None, :, :] * (qr * pr)[:, None, None]
-    neg = ((np.abs(vals) - vals) * w2).sum(axis=(1, 2))
-    tot = (vals * w2).sum(axis=(1, 2))
+    vals = np.broadcast_to(np.real(func(Q, P)), (len(boxes), 8, 8))
+    vals = vals.reshape(len(boxes), 64)
+    area = qr * pr
+    neg = np.einsum("bk,k->b", np.minimum(vals, 0.0), _W64) * (-2.0 * area)
+    tot = np.einsum("bk,k->b", vals, _W64) * area
     return neg, tot
 
 
@@ -420,25 +440,47 @@ def damped_box(n: int, lam: float) -> tuple:
     return (-r, r, -r, r)
 
 
-def eta_grid_damped(n: int, lam: float, tol: float = 1e-4) -> NegativityRecord:
-    """eta_grid applied to the damped W_n via its stable evaluator.
+def _principal_wigner(dp: DampedParams):
+    """The damped W_n as a function of the principal coordinates (s, t).
 
-    The quadrature runs in the 45-degree principal frame of the state,
-    where the squeezed support is an axis-aligned rectangle; the rotation
-    has unit Jacobian so eta is unchanged.
+    With q = (s + t)/sqrt(2) and p = (s - t)/sqrt(2), the Laguerre argument
+    is y = alpha s^2 + beta t^2, alpha = 2 sqrt((1 - lam)/(1 + lam)) and
+    beta = 2 sqrt((1 + lam)/(1 - lam)), so W = ((-1)^n / pi)
+    exp(-alpha s^2 / 2) exp(-beta t^2 / 2) L_n(y).  On the panel layout
+    (S of shape (B, 8, 1), T of shape (B, 1, 8)) the squares and the two
+    Gaussian factors cost B x 8 values each; y, the Laguerre recurrence
+    and two in-place products run on all B x 64 nodes.
+    """
+    lam = dp.lam
+    alpha = 2.0 * np.sqrt((1.0 - lam) / (1.0 + lam))
+    beta = 2.0 * np.sqrt((1.0 + lam) / (1.0 - lam))
+    front = (-1.0) ** dp.n / np.pi
+
+    def W(S, T):
+        aS = alpha * (S * S)
+        bT = beta * (T * T)
+        vals = laguerre_pair(dp.n, aS + bT)[0]
+        vals *= front * np.exp(-0.5 * aS)
+        vals *= np.exp(-0.5 * bT)
+        return vals
+
+    return W
+
+
+def eta_grid_damped(n: int, lam: float, tol: float = 1e-4) -> NegativityRecord:
+    """eta_grid applied to the damped W_n in the state's principal frame.
+
+    The quadrature runs in the 45-degree frame (s, t) of the state, where
+    the squeezed support is an axis-aligned rectangle and W is a Gaussian
+    product times L_n(alpha s^2 + beta t^2) (``_principal_wigner``); the
+    rotation has unit Jacobian, so eta is unchanged.
     """
     dp = DampedParams(lam, n)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    def rotated(S, T):
-        return damped_wigner_values(dp, (S + T) * inv_sqrt2, (S - T) * inv_sqrt2)
-
     c = 2.0 / np.sqrt(1.0 - lam ** 2)
     rs = _envelope_radius(0.5 * c * (1.0 - lam), n, c, lam)
     rt = _envelope_radius(0.5 * c * (1.0 + lam), n, c, lam)
-    rec = eta_grid(rotated, (-rs, rs, -rt, rt), tol,
-                   model="damped", n=n, lam=lam)
-    return rec
+    return eta_grid(_principal_wigner(dp), (-rs, rs, -rt, rt), tol,
+                    model="damped", n=n, lam=lam)
 
 
 def negativity_table(n_max: int, lam: float = 0.0,

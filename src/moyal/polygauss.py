@@ -172,6 +172,17 @@ class PolyGauss:
         self.frame = _check_frame(frame)
 
     @classmethod
+    def _new(cls, C, shape: QuadForm, hbar: float, frame) -> "PolyGauss":
+        """A value in the frame of an existing one, or in the identity
+        frame: that frame was checked when its value was made."""
+        f = cls.__new__(cls)
+        f.C = _coefficient_array(C, 2)
+        f.shape = shape
+        f.hbar = hbar
+        f.frame = frame
+        return f
+
+    @classmethod
     def gaussian(cls, shape: QuadForm, hbar: float = 1.0, coeff=1.0) -> "PolyGauss":
         return cls({(0, 0): coeff}, shape, hbar)
 
@@ -210,7 +221,8 @@ class PolyGauss:
         if S is not None:
             M = M @ _inverse(S)
         shape = QuadForm(M.T @ self.shape.A @ M, M.T @ self.shape.l, self.shape.k)
-        return PolyGauss(_substitute(self.C, M, np.zeros(2)), shape, self.hbar, S)
+        return PolyGauss._new(_substitute(self.C, M, np.zeros(2)), shape,
+                              self.hbar, S)
 
     def _in_common_frame(self, other: "PolyGauss"):
         """(self, other) in one frame: their own when the frames agree; the
@@ -229,7 +241,7 @@ class PolyGauss:
     # ---- pointwise algebra -------------------------------------------------
 
     def scale(self, c) -> "PolyGauss":
-        return PolyGauss(c * self.C, self.shape, self.hbar, self.frame)
+        return PolyGauss._new(c * self.C, self.shape, self.hbar, self.frame)
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         self._check_compatible(other)
@@ -237,7 +249,7 @@ class PolyGauss:
         if f.shape is not g.shape and not f.shape.allclose(g.shape):
             raise ParameterMismatchError(
                 "cannot add functions with different Gaussian shapes")
-        return PolyGauss(_padded_sum(f.C, g.C), f.shape, f.hbar, f.frame)
+        return PolyGauss._new(_padded_sum(f.C, g.C), f.shape, f.hbar, f.frame)
 
     def __sub__(self, other: "PolyGauss") -> "PolyGauss":
         return self + other.scale(-1.0)
@@ -252,12 +264,12 @@ class PolyGauss:
         """Plain (non-star) product; shapes add, polynomials convolve."""
         self._check_compatible(other)
         f, g = self._in_common_frame(other)
-        return PolyGauss(_convolve(f.C, g.C), f.shape + g.shape, f.hbar,
-                         f.frame)
+        return PolyGauss._new(_convolve(f.C, g.C), f.shape + g.shape, f.hbar,
+                              f.frame)
 
     def conjugate(self) -> "PolyGauss":
-        return PolyGauss(np.conj(self.C), self.shape.conjugate(), self.hbar,
-                         self.frame)
+        return PolyGauss._new(np.conj(self.C), self.shape.conjugate(), self.hbar,
+                              self.frame)
 
     # ---- calculus ----------------------------------------------------------
 
@@ -271,8 +283,8 @@ class PolyGauss:
             raise ValueError("var must be 'q' or 'p'")
         j = 0 if var == "q" else 1
         t = np.eye(2)[j] if self.frame is None else self.frame[:, j]
-        return PolyGauss(_diff_array(self.C, self.shape, t), self.shape,
-                         self.hbar, self.frame)
+        return PolyGauss._new(_diff_array(self.C, self.shape, t), self.shape,
+                              self.hbar, self.frame)
 
     # Coefficients are always complex128, so there is no other precision.
     # Kept because perfbench/tracing.py calls it by name.

@@ -186,4 +186,4 @@ def polygauss_star(f: PolyGauss, g: PolyGauss) -> PolyGauss:
     R = np.zeros(side * side, dtype=complex)
     np.add.at(R, _product_index(deg_f, deg_g).ravel(), Q.ravel())
     R = _drop_residue(pref * R.reshape(side, side), shape)
-    return PolyGauss(R, shape, f.hbar, f.frame)
+    return PolyGauss._new(R, shape, f.hbar, f.frame)

@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the package's closed-form code paths:
 scipy quadrature, series summation, an interlacing-bracket root walk, an
-exact piecewise antiderivative for the negativity integral, the
-one-panel-per-step greedy loop of the adaptive eta quadrature, a star
-product by the source-differentiation recursion and one by a Horner
-substitution of all four variables, element-at-a-time grid star sums, a
-Moyal bracket that forms both grid star products, a per-value CSV writer
-and line reader, the CSV reader by numpy's loadtxt, and a per-point Halton
-loop.
+exact piecewise antiderivative for the negativity integral, the Laguerre
+recurrence with a new array per step, panel sums over a per-box weight
+grid, the one-panel-per-step greedy loop of the adaptive eta quadrature,
+a star product by the source-differentiation recursion and one by a
+Horner substitution of all four variables, element-at-a-time grid star
+sums, a Moyal bracket that forms both grid star products, a per-value CSV
+writer and line reader, the CSV reader by numpy's loadtxt, and a
+per-point Halton loop.
 """
 
 import io
@@ -81,6 +82,37 @@ def laguerre_roots_bracketed(n: int) -> np.ndarray:
             new[j] = x
         roots = new
     return roots
+
+
+def laguerre_pair_loop(n: int, y):
+    """(L_n(y), L_{n-1}(y)) by the three-term recurrence, each step into a
+    new array; the reference for the in-place ``models.laguerre_pair``."""
+    y = np.asarray(y, dtype=float)
+    prev = np.ones_like(y)
+    cur = 1.0 - y
+    if n == 0:
+        return prev, np.zeros_like(y)
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - y) * cur - k * prev) / (k + 1)
+    return cur, prev
+
+
+def eval_panels_weighted(func, boxes):
+    """(int(|W|-W), int W) on each box row: the values times a per-box
+    grid of GL8 x GL8 weights scaled by the half-widths, summed over the
+    grid; the panel sums that ``negativity._eval_panels`` replaced."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    qm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+    qr = 0.5 * (boxes[:, 1] - boxes[:, 0])
+    pm = 0.5 * (boxes[:, 2] + boxes[:, 3])
+    pr = 0.5 * (boxes[:, 3] - boxes[:, 2])
+    Q = qm[:, None, None] + qr[:, None, None] * nodes[None, :, None]
+    P = pm[:, None, None] + pr[:, None, None] * nodes[None, None, :]
+    vals = np.real(func(Q, P))
+    w2 = np.outer(weights, weights)[None, :, :] * (qr * pr)[:, None, None]
+    neg = ((np.abs(vals) - vals) * w2).sum(axis=(1, 2))
+    tot = (vals * w2).sum(axis=(1, 2))
+    return neg, tot
 
 
 def eta_exact(n: int) -> float:

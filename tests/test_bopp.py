@@ -180,3 +180,19 @@ def test_framed_residual_builds_only_the_frame_triples(monkeypatch):
     assert len(built) == 1 and built[0] != H
     assert apply(op, W).terms == apply(bopp_from_symbol(H, "left", 1.0),
                                        W).terms
+
+
+def test_second_residual_with_the_same_hamiltonian_builds_no_triples():
+    # the triples are kept per coefficient array, side and hbar, so a new
+    # operator for the same H, and the frame's s o S^-1, reuse them
+    H = PolynomialSymbol({(2, 0): 0.5, (0, 2): 0.5, (1, 1): -0.37})
+    derivative = PolynomialSymbol.derivative
+    for f in (damped_wigner(DampedParams(0.0, 2)),
+              damped_wigner(DampedParams(0.37, 2))):
+        first = eigen_residual(H, f, 1.0)
+        taken = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolynomialSymbol, "derivative",
+                       lambda *a, **k: taken.append(a) or derivative(*a, **k))
+            assert eigen_residual(H, f, 1.0) == first
+        assert taken == []

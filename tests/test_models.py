@@ -13,13 +13,14 @@ from moyal.models import (DampedParams, HeliumParams, annihilation_symbol,
                           harmonic_wigner_values, helium_energy,
                           helium_energy_first_order, helium_excite,
                           helium_ground, helium_hamiltonians, helium_wigner,
-                          hermite_function, laguerre, oscillator_ground,
+                          hermite_function, laguerre, laguerre_pair,
+                          oscillator_ground,
                           oscillator_hamiltonian, oscillator_state,
                           z_coordinate)
 from moyal.polygauss import marginal
 from moyal.star import polygauss_star
 
-from oracles import laguerre_series
+from oracles import laguerre_pair_loop, laguerre_series
 
 
 # ---- special functions ----------------------------------------------------
@@ -35,6 +36,21 @@ def test_laguerre_against_series_and_scipy():
     for n in (2, 7, 15):
         assert np.abs(laguerre(n, ys)
                       - scipy.special.eval_laguerre(n, ys)).max() < 1e-9
+
+
+def test_laguerre_pair_in_place_is_bitwise_the_allocating_loop():
+    rng = np.random.default_rng(7)
+    inputs = [np.float64(3.7), np.asarray(0.25), rng.uniform(0.0, 80.0, 37),
+              rng.uniform(0.0, 60.0, (16, 8, 8)),
+              rng.uniform(0.0, 60.0, (16, 8, 8))[:, ::2, :]]
+    for n in range(61):
+        for y in inputs:
+            got, want = laguerre_pair(n, y), laguerre_pair_loop(n, y)
+            for g, w in zip(got, want):
+                # 0-d inputs keep the scalar path: the same types as well
+                assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert not np.shares_memory(got[0], got[1])
 
 
 def test_hermite_function_orthonormal():

@@ -12,7 +12,8 @@ from moyal.negativity import (ETA_REFERENCE, damped_box, eta_grid,
                               eta_grid_damped, eta_radial, laguerre_roots,
                               lambda_scan, negativity_table)
 
-from oracles import adaptive_eta_greedy, eta_exact, laguerre_roots_bracketed
+from oracles import (adaptive_eta_greedy, eta_exact, eval_panels_weighted,
+                     laguerre_roots_bracketed)
 
 
 def test_laguerre_roots_interlace():
@@ -173,6 +174,104 @@ def test_adaptive_eta_is_bitwise_the_greedy_loop(n, lam, tol):
     func, box, tol = _damped_quadrature(n, lam, tol)
     assert negativity._adaptive_eta(func, box, tol) == \
         adaptive_eta_greedy(func, box, tol)
+
+
+def _recording(func, seen):
+    """func wrapped to keep a copy of the arguments of each call."""
+
+    def wrapped(S, T):
+        seen.append((np.array(S), np.array(T)))
+        return func(S, T)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20])
+def test_principal_frame_integrand_matches_damped_wigner_values(n, lam):
+    # on the points the panels and the tail check hand it: the (B, 8, 1)
+    # and (B, 1, 8) node layout and the 1-D boundary lines
+    func, box, tol = _damped_quadrature(n, lam, 1e-3)
+    seen = []
+    root = np.array([box])
+    negativity._eval_panels(_recording(func, seen), np.vstack(
+        [root, negativity._quarters(negativity._quarters(root))]))
+    negativity._check_tail(_recording(func, seen), box, tol)
+    shapes = {(S.ndim, T.ndim) for S, T in seen}
+    assert shapes == {(3, 3), (1, 1)}
+    dp = DampedParams(lam, n)
+    r = 1.0 / np.sqrt(2.0)
+    for S, T in seen:
+        got = func(S, T)
+        want = damped_wigner_values(dp, (S + T) * r, (S - T) * r)
+        assert got.shape == want.shape
+        # |W_n| <= 1/pi everywhere
+        assert np.abs(got - want).max() <= 1e-14 / np.pi
+
+
+@pytest.mark.parametrize("n, lam", [(2, -0.6), (5, 0.3), (10, 0.9)])
+def test_panel_sums_do_not_depend_on_the_batch(n, lam):
+    # the replay of the greedy order rests on this: a box's sums are the
+    # same bits alone, in a short batch or in a long one
+    func, box, _ = _damped_quadrature(n, lam, 1e-3)
+    boxes = np.array([box])
+    for _ in range(4):
+        boxes = np.vstack([boxes, negativity._quarters(boxes)])
+    neg, tot = negativity._eval_panels(func, boxes)
+    slices = [(i, i + 1) for i in range(0, len(boxes), 7)] + [
+        (3, 8), (5, 9), (7, 70), (100, 228), (0, len(boxes))]
+    for lo, hi in slices:
+        part = negativity._eval_panels(func, boxes[lo:hi])
+        assert part[0].tobytes() == neg[lo:hi].tobytes()
+        assert part[1].tobytes() == tot[lo:hi].tobytes()
+
+
+def _canonical_boxes(boxes, lam):
+    """Box rows mapped into the first quadrant, sorted.
+
+    The damped W is even in s and in t of its principal frame, and at
+    lambda = 0 also symmetric under s <-> t on a square box, so mirror-image
+    panels carry the same sums up to rounding, and which of them the
+    greedy loop takes first is decided by the last bit.  Every box but the
+    root lies in one quadrant, so the map is exact.
+    """
+    b = np.array(boxes)
+    for lo, hi in ((0, 1), (2, 3)):
+        flip = b[:, hi] <= 0.0
+        b[flip, lo], b[flip, hi] = -b[flip, hi], -b[flip, lo]
+    if lam == 0.0:
+        swap = (b[:, 0] > b[:, 2]) | ((b[:, 0] == b[:, 2]) & (b[:, 1] > b[:, 3]))
+        b[swap] = b[swap][:, [2, 3, 0, 1]]
+    return b[np.lexsort(b.T[::-1])]
+
+
+@pytest.mark.parametrize("n, lam, tol", _REPLAY_CASES)
+def test_eta_grid_damped_evaluates_the_boxes_of_the_old_integrand(
+        n, lam, tol, monkeypatch):
+    # the oracle run: W at the rotated lab points and sums over a per-box
+    # weight grid, through the same adaptive loop
+    _, box, _ = _damped_quadrature(n, lam, tol)
+    dp = DampedParams(lam, n)
+    r = 1.0 / np.sqrt(2.0)
+
+    def rotated(S, T):
+        return damped_wigner_values(dp, (S + T) * r, (S - T) * r)
+
+    runs = []
+    for panels, run in (
+            (negativity._eval_panels, lambda: eta_grid_damped(n, lam, tol)),
+            (eval_panels_weighted, lambda: eta_grid(
+                rotated, box, tol, model="damped", n=n, lam=lam))):
+        seen = []
+        monkeypatch.setattr(
+            negativity, "_eval_panels",
+            lambda f, b, panels=panels, seen=seen: (
+                seen.append(b) or panels(f, b)))
+        runs.append((run(), _canonical_boxes(np.vstack(seen), lam)))
+    (new, new_boxes), (old, old_boxes) = runs
+    assert np.array_equal(new_boxes, old_boxes)
+    assert abs(new.eta - old.eta) <= 1e-13
+    assert abs(new.err_estimate - old.err_estimate) <= 1e-13
 
 
 def test_adaptive_eta_rescaled_callable_is_bitwise_the_greedy_loop():

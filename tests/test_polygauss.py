@@ -156,6 +156,35 @@ def test_frame_rejects_non_unimodular_matrix(frame):
         PolyGauss({(0, 0): 1.0}, STD, 1.0, frame)
 
 
+def test_operations_keep_the_checked_frame_without_checking_again(
+        monkeypatch):
+    # the frame of an existing value was checked when it was made; a user
+    # frame is still checked, and one with det != 1 still raises
+    from moyal import polygauss
+
+    W = damped_wigner(DampedParams(0.5, 2))
+    checked = []
+    check = polygauss._check_frame
+
+    def counted(S):
+        if S is not None:
+            checked.append(S)
+        return check(S)
+
+    monkeypatch.setattr(polygauss, "_check_frame", counted)
+    q = PolynomialSymbol({(1, 0): 1.0})
+    results = [W.scale(2.0), W.conjugate(), W.diff("q"), W + W,
+               W.pointwise_mul(W), W.mul_symbol(q), W.lab()]
+    assert checked == []
+    assert all(f.frame is W.frame for f in results[:-1])
+    assert results[-1].frame is None
+    S = np.array([[2.0, 0.0], [0.0, 0.5]])
+    assert np.array_equal(PolyGauss({(0, 0): 1.0}, STD, 1.0, S).frame, S)
+    assert len(checked) == 1
+    with pytest.raises(ValueError, match="determinant"):
+        PolyGauss({(0, 0): 1.0}, STD, 1.0, np.diag([2.0, 1.0]))
+
+
 def test_frame_accepts_strong_squeeze():
     # det S = 1 up to rounding that grows with the squeeze (|S|^2 ~ 7e4 here)
     W = damped_wigner(DampedParams(1.0 - 1e-10, 0))
