@@ -7,12 +7,18 @@ Two deliberately independent routes:
   variable y and the Jacobian is 1/2 independently of the dissipation
   parameter, so
 
-      eta(n) = (1/2) int_0^inf exp(-y/2) |L_n(y)| dy - 1,
+      eta(n) = (1/2) int_0^inf exp(-y/2) |L_n(y)| dy - 1.
 
-  a 1D integral evaluated between the roots of L_n (Gauss-Laguerre nodes
-  from the Golub-Welsch eigenvalue problem, polished by one Newton step)
-  with per-interval Gauss-Legendre panels; the tail beyond the last root uses
-  the exact total int_0^inf exp(-y/2) L_n(y) dy = 2 (-1)^n.
+  Integration by parts with L_n' = -(L_0 + ... + L_{n-1}) gives the exact
+  antiderivative int exp(-y/2) L_n dy = -2 exp(-y/2) G_n(y), with
+  G_n = L_n - 2 L_{n-1} + 2 L_{n-2} - ... +- 2 L_0 one Laguerre series and
+  G_n(0) = (-1)^n.  L_n is positive at 0 and changes sign at each of its
+  roots r_1 < ... < r_n, so eta comes from the root values alone:
+
+      eta(n) = (-1)^n - 1 + sum_j (-1)^j t_j,   t_j = 2 exp(-r_j/2) G_n(r_j).
+
+  The roots are the Gauss-Laguerre nodes of the Golub-Welsch eigenvalue
+  problem, polished by one Newton step.
 
 * eta_grid: adaptive 2D panel quadrature of (|W| - W) over a box, with
   embedded error estimates from one level of panel refinement.  The
@@ -35,8 +41,9 @@ Two deliberately independent routes:
   Gaussian factors are formed once per node row and column; the sum y,
   the Laguerre recurrence and two products run on every node.
 
-The sequence eta(n) is strictly increasing and lambda-free; the reference
-values below anchor n = 0..9.
+The sequence eta(n) is strictly increasing and lambda-free.  The stored
+reference values below (n = 0..9) are not the exact eta: they differ from
+it by 4.4e-9 at n = 1 and by up to 9.7e-6 at n = 9.
 """
 
 from __future__ import annotations
@@ -50,8 +57,10 @@ from .errors import BoxTooSmallError, ConvergenceError
 from .grid import GridField
 from .models import DampedParams, laguerre_pair
 
-# Reference eta(n) for the damped oscillator, n = 0..9 (lambda-independent);
-# the acceptance anchor for the radial method at 1e-8 absolute.
+# Reference eta(n) for the damped oscillator, n = 0..9 (lambda-independent),
+# kept as stored.  They differ from the exact eta by up to 9.7e-6 (n = 9;
+# 4.4e-9 at n = 1), so acceptance criterion 1, which asks for 1e-8 absolute,
+# fails on purpose: the stored digits are off, not the radial route.
 ETA_REFERENCE = (
     0.0,
     0.4261226344263795,
@@ -118,42 +127,26 @@ def laguerre_roots(n: int) -> np.ndarray:
     return roots
 
 
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
-def _signed_interval_integrals(n: int, edges: np.ndarray, rule):
-    """int exp(-y/2) L_n(y) dy on each [edges[i], edges[i+1]]."""
-    nodes, weights = rule
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    rad = 0.5 * (hi - lo)[:, None]
-    y = mid + rad * nodes[None, :]
-    Ln, _ = laguerre_pair(n, y)
-    vals = np.exp(-0.5 * y) * Ln
-    return (vals * weights[None, :] * rad).sum(axis=1)
-
-
 def eta_radial(n: int, lam: float = 0.0) -> NegativityRecord:
-    """eta(n) by the 1D radial route; exactly lambda-free by construction."""
+    """eta(n) by the 1D radial route; exactly lambda-free by construction.
+
+    The error estimate is the rounding bound eps sum_j |t_j| (module
+    docstring): an error in a root r_j enters only at second order, since
+    dt_j/dr_j = exp(-r_j/2) L_n(r_j) = 0.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return NegativityRecord("damped", 0, lam, "radial", 0.0, 0.0)
     roots = laguerre_roots(n)
-    edges = np.concatenate([[0.0], roots])
-    parts64 = _signed_interval_integrals(n, edges, _GL64)
-    parts32 = _signed_interval_integrals(n, edges, _GL32)
-    quad_err = float(np.abs(parts64 - parts32).sum())
-    # |L_n| alternates sign starting positive at y=0
-    absolute = np.abs(parts64).sum()
-    # tail beyond the last root from the exact full-line total 2 (-1)^n
-    tail = 2.0 * (-1.0) ** n - parts64.sum()
-    absolute += abs(tail)
-    eta = float(0.5 * absolute - 1.0)
-    err = 0.5 * (quad_err + 1e-14 * (1.0 + abs(eta)))
-    return NegativityRecord("damped", n, lam, "radial", eta, float(err))
+    # G_n = L_n - 2 L_{n-1} + 2 L_{n-2} - ... +- 2 L_0
+    c = 2.0 * (-1.0) ** (n - np.arange(n + 1))
+    c[n] = 1.0
+    t = 2.0 * np.exp(-0.5 * roots) * np.polynomial.laguerre.lagval(roots, c)
+    err = np.finfo(float).eps * np.abs(t).sum()
+    t[::2] *= -1.0
+    eta = (-1.0) ** n - 1.0 + t.sum()
+    return NegativityRecord("damped", n, lam, "radial", float(eta), float(err))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's closed-form code paths:
 scipy quadrature, series summation, an interlacing-bracket root walk, an
-exact piecewise antiderivative for the negativity integral, the Laguerre
+exact piecewise antiderivative for the negativity integral, the
+Gauss-Legendre panel rule for it between the roots of L_n, the Laguerre
 recurrence with a new array per step, panel sums over a per-box weight
 grid, the one-panel-per-step greedy loop of the adaptive eta quadrature,
 a star product by the source-differentiation recursion and one by a
@@ -142,6 +143,30 @@ def eta_exact(n: int) -> float:
     for j, y in enumerate(laguerre_roots_bracketed(n), start=1):
         total += 4.0 * (-1.0) ** j * np.exp(-0.5 * y) * G(y)
     return 0.5 * total - 1.0
+
+
+def eta_radial_panels(n: int):
+    """(eta(n), error estimate) by the panel rule that ``eta_radial``
+    replaced: 64-point Gauss-Legendre on each interval between the roots of
+    L_n, 32-point for the error estimate, and the tail beyond the last root
+    from the exact total int_0^inf exp(-y/2) L_n(y) dy = 2 (-1)^n."""
+    if n == 0:
+        return 0.0, 0.0
+
+    def parts(edges, points):
+        nodes, weights = np.polynomial.legendre.leggauss(points)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        rad = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        y = mid + rad * nodes[None, :]
+        vals = np.exp(-0.5 * y) * laguerre_pair(n, y)[0]
+        return (vals * weights[None, :] * rad).sum(axis=1)
+
+    edges = np.concatenate([[0.0], negativity.laguerre_roots(n)])
+    parts64 = parts(edges, 64)
+    quad_err = float(np.abs(parts64 - parts(edges, 32)).sum())
+    tail = 2.0 * (-1.0) ** n - parts64.sum()
+    eta = float(0.5 * (np.abs(parts64).sum() + abs(tail)) - 1.0)
+    return eta, float(0.5 * (quad_err + 1e-14 * (1.0 + abs(eta))))
 
 
 class _Panel:

@@ -74,6 +74,21 @@ def test_hamiltonian_on_damped_w1():
     assert resid.max() <= 1e-10
 
 
+def test_hamiltonian_on_damped_w1_stores_no_cancellation_residue():
+    # H * W1 = E1 W1 in W1's frame; the terms cancel everywhere else
+    dp = DampedParams(0.5, 1)
+    W1 = damped_wigner(dp)
+    Hf = apply(bopp_from_symbol(damped_hamiltonian(0.5), "left", 1.0), W1)
+    assert Hf.frame is W1.frame
+    got = np.zeros((8, 8), dtype=complex)
+    want = np.zeros((8, 8), dtype=complex)
+    got[:Hf.C.shape[0], :Hf.C.shape[1]] = Hf.C
+    want[:W1.C.shape[0], :W1.C.shape[1]] = damped_energy(dp) * W1.C
+    assert np.count_nonzero(W1.C) == 3
+    assert np.array_equal(got != 0, want != 0)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_heisenberg_commutator_coefficientwise():
     opq = bopp_from_symbol(q_symbol(), "left", 1.0)
     opp = bopp_from_symbol(p_symbol(), "left", 1.0)
