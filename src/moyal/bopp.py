@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ParameterMismatchError
 from .polygauss import PolyGauss, _diff_array, _inverse
-from .star import _drop_residue
 from .symbols import PolynomialSymbol, _convolve
 
 
@@ -86,8 +85,7 @@ def bopp_from_symbol(s: PolynomialSymbol, side: str, hbar: float) -> BoppOperato
 def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
     """Apply a Bopp operator to a polynomial-Gaussian, exactly in closed form:
     the sum over the triples of coefficient times derivative of f, formed
-    on coefficient arrays in the frame variables, then the star product's
-    residue rule (``star._drop_residue``)."""
+    on coefficient arrays in the frame variables."""
     if abs(op.hbar - f.hbar) > 1e-15:
         raise ParameterMismatchError(
             f"operator hbar {op.hbar} does not match function hbar {f.hbar}")
@@ -108,5 +106,4 @@ def apply(op: BoppOperator, f: PolyGauss) -> PolyGauss:
     out = np.zeros((max(f.C.shape) + max(op.symbol.degree, 0),) * 2, dtype=complex)
     for coeff, dq, dp in terms:
         _convolve(coeff.C, derivative(dq, dp), out)
-    # where the terms cancel, as in H * W = E W, the sum keeps a residue
-    return PolyGauss._new(_drop_residue(out, f.shape), f.shape, f.hbar, f.frame)
+    return PolyGauss._new(out, f.shape, f.hbar, f.frame)

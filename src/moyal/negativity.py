@@ -130,9 +130,12 @@ def laguerre_roots(n: int) -> np.ndarray:
 def eta_radial(n: int, lam: float = 0.0) -> NegativityRecord:
     """eta(n) by the 1D radial route; exactly lambda-free by construction.
 
-    The error estimate is the rounding bound eps sum_j |t_j| (module
-    docstring): an error in a root r_j enters only at second order, since
-    dt_j/dr_j = exp(-r_j/2) L_n(r_j) = 0.
+    The error estimate eps sum_j |t_j| allows one rounding per term t_j of
+    the module docstring's sum; an error in a root r_j enters only at
+    second order, since dt_j/dr_j = exp(-r_j/2) L_n(r_j) = 0.  It is an
+    estimate, not a bound: the rounding of exp, of the Clenshaw recurrence
+    over n + 1 terms and of the n-term sum is left out.  Against 40-digit
+    values the error is at most 0.43 of it for n <= 350.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

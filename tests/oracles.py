@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's closed-form code paths:
 scipy quadrature, series summation, an interlacing-bracket root walk, an
 exact piecewise antiderivative for the negativity integral, the
-Gauss-Legendre panel rule for it between the roots of L_n, the Laguerre
+Gauss-Legendre panel rule for it between the roots of L_n, the same
+antiderivative at 40 digits on Newton-polished roots, the Laguerre
 recurrence with a new array per step, panel sums over a per-box weight
 grid, the one-panel-per-step greedy loop of the adaptive eta quadrature,
 a star product by the source-differentiation recursion and one by a
@@ -167,6 +168,39 @@ def eta_radial_panels(n: int):
     tail = 2.0 * (-1.0) ** n - parts64.sum()
     eta = float(0.5 * (np.abs(parts64).sum() + abs(tail)) - 1.0)
     return eta, float(0.5 * (quad_err + 1e-14 * (1.0 + abs(eta))))
+
+
+def eta_radial_mp(n: int, dps: int = 40):
+    """eta(n) at dps digits (an mpmath mpf), for the rounding of eta_radial.
+
+    Each double root of ``negativity.laguerre_roots`` is polished by three
+    Newton steps on the Laguerre recurrence at dps + 20 digits (its error
+    squares at each step), and the exact antiderivative -2 exp(-y/2) G_n(y)
+    is summed between the roots at that precision, with G_n built by the
+    recurrence of ``eta_exact``.
+    """
+    from mpmath import exp, mp, mpf
+
+    if n == 0:
+        return mpf(0)
+    with mp.workdps(dps + 20):
+        def pair_and_g(y):
+            # (L_n, L_{n-1}, G_n) at y; G_n = S_n - S_{n-1}, S_k = L_k - S_{k-1}
+            L_prev, L_cur, S_prev = mpf(1), 1 - y, mpf(1)
+            for k in range(1, n):
+                S_prev = L_cur - S_prev
+                L_prev, L_cur = L_cur, ((2 * k + 1 - y) * L_cur - k * L_prev) / (k + 1)
+            return L_cur, L_prev, L_cur - 2 * S_prev
+
+        total = mpf(2) * (-1) ** n
+        for j, r in enumerate(negativity.laguerre_roots(n), start=1):
+            y = mpf(float(r))
+            for _ in range(3):
+                Ln, Lnm1, _ = pair_and_g(y)
+                # y L_n' = n (L_n - L_{n-1})
+                y -= y * Ln / (n * (Ln - Lnm1))
+            total += 4 * (-1) ** j * exp(-y / 2) * pair_and_g(y)[2]
+        return +(total / 2 - 1)
 
 
 class _Panel:

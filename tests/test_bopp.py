@@ -6,8 +6,8 @@ from moyal import (ParameterMismatchError, PolyGauss, QuadForm, apply,
                    p_symbol, q_symbol)
 from moyal.grid import GridSpec, sample, star_numeric, tapered_sample
 from moyal.models import (DampedParams, annihilation_symbol, damped_energy,
-                          damped_hamiltonian, damped_wigner,
-                          oscillator_ground)
+                          damped_hamiltonian, damped_wigner, harmonic_wigner,
+                          oscillator_ground, oscillator_hamiltonian)
 from moyal.residual import HALTON_SKIP
 from moyal.symbols import PolynomialSymbol
 
@@ -74,19 +74,21 @@ def test_hamiltonian_on_damped_w1():
     assert resid.max() <= 1e-10
 
 
-def test_hamiltonian_on_damped_w1_stores_no_cancellation_residue():
-    # H * W1 = E1 W1 in W1's frame; the terms cancel everywhere else
-    dp = DampedParams(0.5, 1)
-    W1 = damped_wigner(dp)
-    Hf = apply(bopp_from_symbol(damped_hamiltonian(0.5), "left", 1.0), W1)
-    assert Hf.frame is W1.frame
-    got = np.zeros((8, 8), dtype=complex)
-    want = np.zeros((8, 8), dtype=complex)
+@pytest.mark.parametrize("n", [18, 20, 30])
+def test_hamiltonian_on_high_harmonic_states_keeps_every_coefficient(n):
+    # H * W_n = (n + 1/2) W_n coefficient by coefficient, the tiny corner
+    # entries (q^2n: 2^n / n! / pi, 1e-15 of the largest at n = 18) included
+    W = harmonic_wigner(n)
+    Hf = apply(bopp_from_symbol(oscillator_hamiltonian(), "left", 1.0), W)
+    assert Hf.frame is W.frame
+    k = max(Hf.C.shape[0], W.C.shape[0])
+    l = max(Hf.C.shape[1], W.C.shape[1])
+    got = np.zeros((k, l), dtype=complex)
+    want = np.zeros((k, l), dtype=complex)
     got[:Hf.C.shape[0], :Hf.C.shape[1]] = Hf.C
-    want[:W1.C.shape[0], :W1.C.shape[1]] = damped_energy(dp) * W1.C
-    assert np.count_nonzero(W1.C) == 3
-    assert np.array_equal(got != 0, want != 0)
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    want[:W.C.shape[0], :W.C.shape[1]] = (n + 0.5) * W.C
+    scale = np.where(want != 0, np.abs(want), np.abs(want).max())
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_heisenberg_commutator_coefficientwise():

@@ -14,8 +14,9 @@ from moyal.negativity import (ETA_REFERENCE, damped_box, eta_grid,
                               eta_grid_damped, eta_radial, laguerre_roots,
                               lambda_scan, negativity_table)
 
-from oracles import (adaptive_eta_greedy, eta_exact, eta_radial_panels,
-                     eval_panels_weighted, laguerre_roots_bracketed)
+from oracles import (adaptive_eta_greedy, eta_exact, eta_radial_mp,
+                     eta_radial_panels, eval_panels_weighted,
+                     laguerre_roots_bracketed)
 
 ETA_40_DIGITS = Path(__file__).resolve().parents[1] / "perfbench" / "eta_reference.json"
 
@@ -113,6 +114,24 @@ def test_eta_radial_within_its_estimate_of_the_40_digit_values():
         for n, ref in enumerate(digits):
             rec = eta_radial(n)
             assert abs(mpf(rec.eta) - mpf(ref)) <= rec.err_estimate
+
+
+def test_eta_radial_mp_oracle_reproduces_the_40_digit_values():
+    from mpmath import mp, mpf
+
+    digits = json.loads(ETA_40_DIGITS.read_text())["eta"]
+    with mp.workdps(40):
+        for n, ref in enumerate(digits):
+            assert abs(eta_radial_mp(n) - mpf(ref)) <= mpf("1e-35")
+
+
+@pytest.mark.parametrize("n", list(range(25, 61, 5)) + [75, 100, 150, 200])
+def test_eta_radial_within_its_estimate_beyond_n24(n):
+    from mpmath import mp, mpf
+
+    rec = eta_radial(n)
+    with mp.workdps(40):
+        assert abs(mpf(rec.eta) - eta_radial_mp(n)) <= rec.err_estimate
 
 
 def test_eta_radial_against_reference_digits():
