@@ -82,6 +82,8 @@ def _validate_model_args(args, parser):
         parser.error("--nu/--nv apply to the helium model only")
     if args.n < 0 or (args.nu or 0) < 0 or (args.nv or 0) < 0:
         parser.error("quantum numbers must be nonnegative")
+    if not (args.mass > 0.0 and args.omega > 0.0 and args.hbar > 0.0):
+        parser.error("--mass, --omega and --hbar must be positive")
 
 
 def _write_text(path, text) -> None:
@@ -103,6 +105,7 @@ def cmd_wigner(args, parser) -> int:
     Q, P = spec.meshgrid()
     common = {"model": args.model, "normalization": "unit-integral"}
     if args.model == "damped":
+        dp = DampedParams(args.lam, args.n)
         warnings = ()
         r = damped_box(args.n, args.lam)[1]
         if min(-spec.qmin, spec.qmax, -spec.pmin, spec.pmax) < r:
@@ -110,7 +113,7 @@ def cmd_wigner(args, parser) -> int:
                         f"|q| and |p| up to {r:.3g}",)
             print(f"note: {warnings[0]}", file=sys.stderr)
             del common["normalization"]
-        vals = damped_wigner_values(DampedParams(args.lam, args.n), Q, P)
+        vals = damped_wigner_values(dp, Q, P)
         write_grid_csv(GridField(spec, vals, 1.0, warnings), out,
                        {**common, "n": args.n, "lambda": args.lam})
     elif args.model == "harmonic":
@@ -278,8 +281,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args, parser)
-    except MoyalError as exc:
-        # configuration-class failures (bad box, non-normalizable input, ...)
+    except (MoyalError, ValueError) as exc:
+        # configuration-class failures (bad box, non-normalizable input,
+        # a parameter outside its model's range, ...)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -18,21 +18,20 @@ Two deliberately independent routes:
       eta(n) = (-1)^n - 1 + sum_j (-1)^j t_j,   t_j = 2 exp(-r_j/2) G_n(r_j).
 
   The roots are the Gauss-Laguerre nodes of the Golub-Welsch eigenvalue
-  problem, polished by one Newton step.
+  problem, polished by two Newton steps.
 
 * eta_grid: adaptive 2D panel quadrature of (|W| - W) over a box, with
   embedded error estimates from one level of panel refinement.  The
   normalization is re-imposed internally (eta = int(|W| - W) / int W), so
-  a rescaled input yields the same indicator.  The greedy refinement
-  order (worst panel first, ties by insertion) is replayed exactly in
-  batches: one call of the integrand evaluates the children of the
-  popped panel and of up to seven more unrefined panels at the top of the
-  heap (those the loop would still reach if no refinement added error),
-  and the cached results are used as their panels are popped, so
-  the estimate is bitwise that of refining one panel per call.  Each call
-  gets the GL8 nodes of its boxes as Q of shape (B, 8, 1) and P of shape
-  (B, 1, 8), and both panel sums contract the values with one table of
-  the 64 product weights.
+  a rescaled input yields the same indicator.  Each turn refines the
+  worst panels (ties by insertion) with one call of the integrand: up to
+  eight of them, each only while the errors of those above it leave the
+  loop running, so every one is a panel that refining the worst panel
+  alone, one per call, would also reach.  The sums are exactly rounded
+  over the final panels, so the estimate is bitwise that of the
+  one-panel loop.  Each call gets the GL8 nodes of its boxes as Q of
+  shape (B, 8, 1) and P of shape (B, 1, 8), and both panel sums contract
+  the values with one table of the 64 product weights.
 
 * eta_grid_damped: eta_grid on the damped W_n in its principal frame
   (s, t), the 45-degree rotation of (q, p).  There the support is an
@@ -49,6 +48,7 @@ it by 4.4e-9 at n = 1 and by up to 9.7e-6 at n = 9.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,25 +102,22 @@ class LambdaScanReport:
 
 
 def laguerre_roots(n: int) -> np.ndarray:
-    """All n roots of L_n, ascending: Gauss-Laguerre nodes, one Newton step.
+    """All n roots of L_n, ascending: Gauss-Laguerre nodes, two Newton steps.
 
     The nodes of the n-point Gauss-Laguerre rule are the roots of L_n: the
     eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    three-term recurrence (Golub & Welsch, Math. Comp. 23, 221 (1969)),
-    then one Newton step on the Laguerre series, as numpy's laggauss takes
-    them.  A second vectorized Newton step through the recurrence, with
-    y L_n' = n (L_n - L_{n-1}), polishes them to full double precision.
+    three-term recurrence (Golub & Welsch, Math. Comp. 23, 221 (1969)).
+    Two vectorized Newton steps through the recurrence, with
+    y L_n' = n (L_n - L_{n-1}), polish them to full double precision.
     """
     if n == 0:
         return np.empty(0)
-    # laggauss's nodes without its weights, which divide by zero from n = 187
-    lag = np.polynomial.laguerre
     c = np.zeros(n + 1)
     c[n] = 1.0
-    nodes = np.linalg.eigvalsh(lag.lagcompanion(c))
-    nodes -= lag.lagval(nodes, c) / lag.lagval(nodes, lag.lagder(c))
-    Ln, Lnm1 = laguerre_pair(n, nodes)
-    roots = nodes - nodes * Ln / (n * (Ln - Lnm1))
+    roots = np.linalg.eigvalsh(np.polynomial.laguerre.lagcompanion(c))
+    for _ in range(2):
+        Ln, Lnm1 = laguerre_pair(n, roots)
+        roots = roots - roots * Ln / (n * (Ln - Lnm1))
     if not (roots[0] > 0.0 and np.all(np.diff(roots) > 0.0)):
         raise ConvergenceError(
             f"Laguerre roots not positive and increasing (n={n})")
@@ -160,8 +157,8 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 # the 64 weights w_i w_j of the GL8 x GL8 product rule, row by row
 _W64 = np.outer(_GL8[1], _GL8[1]).ravel()
 _MAX_PANELS = 60_000
-# panels refined per func call: the popped panel plus the next unrefined
-# ones at the top of the heap (8 boxes x 16 x 64 nodes = 8192 points)
+# most panels refined per func call, the worst ones on the heap
+# (8 boxes x 16 x 64 nodes = 8192 points)
 _BATCH = 8
 
 
@@ -226,74 +223,42 @@ def _refine(func, parents):
     return [kids[4 * i:4 * i + 4] for i in range(len(parents))]
 
 
-def _unrefined_top(heap, refined, k, room):
-    """Up to k heap entries, best first, whose children are not yet known.
-
-    room is the error the pops may still remove before the loop stops; an
-    entry is taken only while the errors of the entries above it leave
-    some, so panels the loop is likely to stop short of are not evaluated.
-    Entries are popped to look and pushed back; their keys are unique, so
-    the order of later pops is unchanged.
-    """
-    seen, picks = [], []
-    while heap and len(picks) < k:
-        entry = heapq.heappop(heap)
-        seen.append(entry)
-        if entry[1] not in refined:
-            if room <= 0.0:
-                break
-            picks.append(entry)
-        room += entry[0]
-    for entry in seen:
-        heapq.heappush(heap, entry)
-    return picks
-
-
 def _adaptive_eta(func, box, tol):
-    """Globally adaptive quadrature: always refine the worst panel.
+    """Globally adaptive quadrature: always refine the worst panels.
 
-    Returns (int(|W|-W), int W, error estimate).  The panel with the
-    largest |refined - coarse| is refined next, ties broken by insertion
-    order, and the totals are accumulated in pop order.  The refinement is
-    replayed in batches: when the popped panel's children are not known,
-    one func call evaluates them together with the children of the next
-    unrefined panels at the top of the heap, up to _BATCH panels and only
-    while their errors leave the loop running; the others are cached
-    until popped.  For a func that acts point by point, a panel's sums do
-    not depend on the batch it is evaluated in, so the pops, pushes and
-    totals are exactly those of one refinement per call.
+    Returns (int(|W|-W), int W, error estimate).  Each turn pops the
+    panels with the largest |refined - coarse|, ties broken by insertion
+    order, and refines them with one func call: up to _BATCH panels, each
+    one after the first only while the errors of those above it leave the
+    error total above the stopping level.  The total then stays above it
+    until that panel is popped, so a loop that refines one panel per call
+    refines it too.  The results are exactly rounded sums over the final
+    panels: they depend on which panels were refined, not on the order.
+    Only the error total runs, for the stopping test.
     """
     root_box = np.array([box], dtype=float)
     neg, tot = _eval_panels(func, np.vstack([root_box, _quarters(root_box)]))
     root = _panels(root_box, [neg[0]], neg[1:], tot[1:])[0]
     counter = 0
     heap = [(-root[3], counter, root)]
-    refined = {}
-    _, total_neg, total_tot, total_err, _ = root
+    total_err = root[3]
     n_panels = 1
-    while total_err > 0.4 * tol and heap:
-        entry = heapq.heappop(heap)
-        if n_panels > _MAX_PANELS:
-            raise ConvergenceError("adaptive quadrature exceeded panel budget")
-        _, key, (_, neg, tot, err, _) = entry
-        total_neg -= neg
-        total_tot -= tot
-        total_err -= err
-        children = refined.pop(key, None)
-        if children is None:
-            batch = [entry] + _unrefined_top(heap, refined, _BATCH - 1,
-                                             total_err - 0.4 * tol)
-            kids = _refine(func, [e[2] for e in batch])
-            refined.update((e[1], k) for e, k in zip(batch[1:], kids[1:]))
-            children = kids[0]
-        n_panels += 3
-        for child in children:
-            counter += 1
-            heapq.heappush(heap, (-child[3], counter, child))
-            total_neg += child[1]
-            total_tot += child[2]
-            total_err += child[3]
-    return total_neg, total_tot, total_err
+    while total_err > 0.4 * tol:
+        batch = []
+        while heap and len(batch) < _BATCH and total_err > 0.4 * tol:
+            if n_panels > _MAX_PANELS:
+                raise ConvergenceError(
+                    "adaptive quadrature exceeded panel budget")
+            batch.append(heapq.heappop(heap)[2])
+            total_err -= batch[-1][3]
+            n_panels += 3
+        for children in _refine(func, batch):
+            for child in children:
+                counter += 1
+                heapq.heappush(heap, (-child[3], counter, child))
+                total_err += child[3]
+    _, neg, tot, err, _ = zip(*(entry[2] for entry in heap))
+    return math.fsum(neg), math.fsum(tot), math.fsum(err)
 
 
 def _check_tail(func, box, tol):
@@ -484,6 +449,8 @@ def negativity_table(n_max: int, lam: float = 0.0,
     """Records for n = 0..n_max; eta(n) is strictly increasing."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if not abs(lam) < 1.0:
+        raise ValueError("|lambda| must be < 1")
     if method not in ("radial", "grid"):
         raise ValueError("method must be 'radial' or 'grid'")
     if method == "radial":
@@ -498,7 +465,7 @@ def lambda_scan(n: int, lams, tol: float = 1e-3) -> LambdaScanReport:
     the grid value at each lambda is a genuine two-route check.
     """
     lams = tuple(float(v) for v in lams)
-    if any(abs(v) >= 1.0 for v in lams):
+    if not all(abs(v) < 1.0 for v in lams):
         raise ValueError("all |lambda| must be < 1")
     radial = eta_radial(n)
     # the quadrature tolerance is clamped to a feasible floor; an

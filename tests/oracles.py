@@ -6,8 +6,8 @@ exact piecewise antiderivative for the negativity integral, the
 Gauss-Legendre panel rule for it between the roots of L_n, the same
 antiderivative at 40 digits on Newton-polished roots, the Laguerre
 recurrence with a new array per step, panel sums over a per-box weight
-grid, the one-panel-per-step greedy loop of the adaptive eta quadrature,
-a star product by the source-differentiation recursion and one by a
+grid, the one-panel-per-step greedy loop of the adaptive eta quadrature
+(its results exactly rounded sums over the final panels), a star product by the source-differentiation recursion and one by a
 Horner substitution of all four variables, element-at-a-time grid star
 sums, a Moyal bracket that forms both grid star products, a per-value CSV
 writer and line reader, the CSV reader by numpy's loadtxt, and a
@@ -15,6 +15,7 @@ per-point Halton loop.
 """
 
 import io
+import math
 from itertools import chain
 
 import numpy as np
@@ -225,8 +226,9 @@ def adaptive_eta_greedy(func, box, tol):
 
     Always refines the panel with the largest |refined - coarse|, ties
     broken by insertion order, with one ``_eval_panels`` call per turn.
-    Returns (int(|W|-W), int W, error estimate); the reference for the
-    batched replay in ``moyal.negativity._adaptive_eta``.
+    Returns (int(|W|-W), int W, error estimate) as exactly rounded sums
+    over the final panels; the reference for the batched loop in
+    ``moyal.negativity._adaptive_eta``.
     """
     import heapq
 
@@ -251,14 +253,12 @@ def adaptive_eta_greedy(func, box, tol):
     root = make_panels([box], [(neg0[0], tot0[0])])[0]
     counter = 0
     heap = [(-root.err, counter, root)]
-    total_neg, total_tot, total_err = root.neg, root.tot, root.err
+    total_err = root.err
     n_panels = 1
     while total_err > 0.4 * tol and heap:
         _, _, worst = heapq.heappop(heap)
         if n_panels > negativity._MAX_PANELS:
             raise ConvergenceError("adaptive quadrature exceeded panel budget")
-        total_neg -= worst.neg
-        total_tot -= worst.tot
         total_err -= worst.err
         children = make_panels(list(_quarter_boxes(*worst.box)),
                                worst.quarter_data)
@@ -266,10 +266,10 @@ def adaptive_eta_greedy(func, box, tol):
         for child in children:
             counter += 1
             heapq.heappush(heap, (-child.err, counter, child))
-            total_neg += child.neg
-            total_tot += child.tot
             total_err += child.err
-    return total_neg, total_tot, total_err
+    panels = [entry[2] for entry in heap]
+    return (math.fsum(p.neg for p in panels), math.fsum(p.tot for p in panels),
+            math.fsum(p.err for p in panels))
 
 
 def _affine_mul(arr: np.ndarray, c0: complex, cq: complex, cp: complex) -> np.ndarray:

@@ -787,7 +787,7 @@ def test_cli_negativity_grid_bytes_match_greedy_loop(tmp_path, monkeypatch):
     assert scan.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wigner", "--model", "harmonic", "--lambda", "0.5",
               "--out", "x.csv"])
@@ -801,6 +801,33 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--model", "damped", "--format", "csv"])
     assert exc.value.code == 2
+    # a parameter outside its model's range: exit 2 with a message, no
+    # traceback and no output file
+    for argv in (["negativity", "--n-max", "1", "--lambda", "1.5"],
+                 ["negativity", "--n-max", "1", "--lambda", "nan"],
+                 ["negativity", "--method", "grid", "--lambda", "1.5"],
+                 ["negativity", "--n-max", "-1"],
+                 ["negativity", "--n", "-1", "--lambda-scan", "0,0.5"],
+                 ["negativity", "--n", "1", "--lambda-scan", "0,nan"],
+                 ["wigner", "--model", "damped", "--lambda", "1.5"],
+                 ["wigner", "--model", "harmonic", "--omega", "-1"],
+                 ["wigner", "--model", "helium", "--mass", "0"],
+                 ["wigner", "--model", "harmonic", "--hbar", "nan"],
+                 ["spectrum", "--model", "damped", "--lambda", "1.2"],
+                 ["spectrum", "--model", "helium", "--xi", "1.5"],
+                 ["verify", "--nq", "4"]):
+        if argv[0] == "wigner":
+            argv += ["--out", str(tmp_path / "w.csv"), "--nq", "16",
+                     "--np", "16"]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert "error: " in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_io_error(tmp_path):

@@ -45,20 +45,13 @@ def test_laguerre_roots_match_bracketed_walk():
         assert np.abs(roots / walk - 1.0).max() <= 1e-14
 
 
-def test_laguerre_roots_start_from_laggauss_nodes_without_warnings():
-    # laggauss's weights divide by zero from n = 187 on; its nodes, then
-    # one Newton step through the recurrence, are the roots bit for bit
-    from moyal.models import laguerre_pair
-
+def test_laguerre_roots_without_warnings():
+    # laggauss's weights divide by zero from n = 187 on; the roots take
+    # only its eigenvalue problem
     for n in range(1, 201):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            nodes, _ = np.polynomial.laguerre.laggauss(n)
-        Ln, Lnm1 = laguerre_pair(n, nodes)
-        want = nodes - nodes * Ln / (n * (Ln - Lnm1))
-        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert laguerre_roots(n).tobytes() == want.tobytes()
+            assert laguerre_roots(n).shape == (n,)
     for n in (200, 250, 300, 350):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -212,11 +205,21 @@ _REPLAY_CASES = (
 
 
 @pytest.mark.parametrize("n, lam, tol", _REPLAY_CASES)
-def test_adaptive_eta_is_bitwise_the_greedy_loop(n, lam, tol):
+def test_adaptive_eta_is_bitwise_the_greedy_loop(n, lam, tol, monkeypatch):
     # n = 8 at lambda = +-0.6, tol 1e-3 is the early stop: a few turns only
     func, box, tol = _damped_quadrature(n, lam, tol)
-    assert negativity._adaptive_eta(func, box, tol) == \
-        adaptive_eta_greedy(func, box, tol)
+    eval_panels = negativity._eval_panels
+    results, boxes = [], []
+    for loop in (negativity._adaptive_eta, adaptive_eta_greedy):
+        seen = []
+        monkeypatch.setattr(negativity, "_eval_panels", lambda f, b, seen=seen: (
+            seen.append(b) or eval_panels(f, b)))
+        results.append(loop(func, box, tol))
+        b = np.vstack(seen)
+        boxes.append(b[np.lexsort(b.T[::-1])])
+    assert results[0] == results[1]
+    # each panel a batch refines is one the greedy loop refines too
+    assert np.array_equal(boxes[0], boxes[1])
 
 
 def _recording(func, seen):
@@ -254,8 +257,8 @@ def test_principal_frame_integrand_matches_damped_wigner_values(n, lam):
 
 @pytest.mark.parametrize("n, lam", [(2, -0.6), (5, 0.3), (10, 0.9)])
 def test_panel_sums_do_not_depend_on_the_batch(n, lam):
-    # the replay of the greedy order rests on this: a box's sums are the
-    # same bits alone, in a short batch or in a long one
+    # the batched loop's bitwise match with the greedy one rests on this: a
+    # box's sums are the same bits alone, in a short batch or in a long one
     func, box, _ = _damped_quadrature(n, lam, 1e-3)
     boxes = np.array([box])
     for _ in range(4):
