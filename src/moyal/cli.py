@@ -140,6 +140,8 @@ def cmd_wigner(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     _validate_model_args(args, parser)
+    if args.n_max < 0:
+        parser.error("--n-max must be nonnegative")
     rows = []
     if args.model == "damped":
         for n in range(args.n_max + 1):

@@ -29,9 +29,11 @@ Two deliberately independent routes:
   loop running, so every one is a panel that refining the worst panel
   alone, one per call, would also reach.  The sums are exactly rounded
   over the final panels, so the estimate is bitwise that of the
-  one-panel loop.  Each call gets the GL8 nodes of its boxes as Q of
-  shape (B, 8, 1) and P of shape (B, 1, 8), and both panel sums contract
-  the values with one table of the 64 product weights.
+  one-panel loop.  The panels are the rows of one array, and the heap
+  holds only (-err, row).  Each call gets the GL8 nodes of its boxes as
+  Q of shape (B, 8, 1) and P of shape (B, 1, 8), and both panel sums
+  contract the values with one table of the 64 product weights.  The box
+  must hold the support: W on its edge is checked against tol/volume.
 
 * eta_grid_damped: eta_grid on the damped W_n in its principal frame
   (s, t), the 45-degree rotation of (q, p).  There the support is an
@@ -164,10 +166,9 @@ _BATCH = 8
 
 def _quarters(boxes):
     """The four quarter boxes of each (qa, qb, pa, pb) row, one box in turn."""
-    b = np.asarray(boxes, dtype=float)
-    qm = 0.5 * (b[:, 0] + b[:, 1])
-    pm = 0.5 * (b[:, 2] + b[:, 3])
-    out = np.repeat(b[:, None, :], 4, axis=1)
+    qm = 0.5 * (boxes[:, 0] + boxes[:, 1])
+    pm = 0.5 * (boxes[:, 2] + boxes[:, 3])
+    out = np.repeat(boxes[:, None, :], 4, axis=1)
     out[:, :2, 1] = qm[:, None]
     out[:, 2:, 0] = qm[:, None]
     out[:, ::2, 3] = pm[:, None]
@@ -199,86 +200,72 @@ def _eval_panels(func, boxes):
     return neg, tot
 
 
-def _panels(boxes, coarse, neg, tot):
-    """Panel tuples (box, neg, tot, err, quarter negs) from quarter sums.
-
-    neg and tot hold the four quarters of each box in turn; a panel's
-    estimate is their sum, its error |sum - coarse|.
-    """
-    n4 = neg.reshape(-1, 4)
-    t4 = tot.reshape(-1, 4)
-    # left to right from 0, as the built-in sum adds (so -0.0 gives 0.0)
-    pneg = 0.0 + n4[:, 0] + n4[:, 1] + n4[:, 2] + n4[:, 3]
-    ptot = 0.0 + t4[:, 0] + t4[:, 1] + t4[:, 2] + t4[:, 3]
-    perr = np.abs(pneg - np.asarray(coarse))
-    return list(zip(boxes.tolist(), pneg.tolist(), ptot.tolist(),
-                    perr.tolist(), n4.tolist()))
-
-
-def _refine(func, parents):
-    """The four child panels of each parent panel, one func call for all."""
-    boxes = _quarters([p[0] for p in parents])
-    neg, tot = _eval_panels(func, _quarters(boxes))
-    kids = _panels(boxes, [c for p in parents for c in p[4]], neg, tot)
-    return [kids[4 * i:4 * i + 4] for i in range(len(parents))]
-
-
 def _adaptive_eta(func, box, tol):
     """Globally adaptive quadrature: always refine the worst panels.
 
-    Returns (int(|W|-W), int W, error estimate).  Each turn pops the
-    panels with the largest |refined - coarse|, ties broken by insertion
-    order, and refines them with one func call: up to _BATCH panels, each
-    one after the first only while the errors of those above it leave the
-    error total above the stopping level.  The total then stays above it
-    until that panel is popped, so a loop that refines one panel per call
-    refines it too.  The results are exactly rounded sums over the final
-    panels: they depend on which panels were refined, not on the order.
-    Only the error total runs, for the stopping test.
+    Returns (int(|W|-W), int W, error estimate).  Panel k is row k of one
+    table: its box (columns 0-3), the neg of its four quarters (4-7), and
+    its neg, tot and err (8-10).  neg and tot sum the quarters, and err is
+    |neg - coarse|, where coarse is the panel's one-box neg, made with its
+    parent as one of the parent's quarters.  The heap holds (-err, k), so
+    ties go by row, which is insertion order.
+    Each turn pops up to _BATCH panels, each one after the first only
+    while the errors of those above it leave the error total above the
+    stopping level.  The total then stays above it until that panel is
+    popped, so a loop that refines one panel per call refines it too.
+    One func call makes the four child rows of every popped panel.  The
+    results are exactly rounded sums over the rows left on the heap: they
+    depend on which panels were refined, not on the order.
     """
-    root_box = np.array([box], dtype=float)
-    neg, tot = _eval_panels(func, np.vstack([root_box, _quarters(root_box)]))
-    root = _panels(root_box, [neg[0]], neg[1:], tot[1:])[0]
-    counter = 0
-    heap = [(-root[3], counter, root)]
-    total_err = root[3]
-    n_panels = 1
-    while total_err > 0.4 * tol:
+    table = np.empty((64, 11))
+    table[0, :4] = box
+    neg, tot = _eval_panels(func, np.vstack([table[:1, :4],
+                                             _quarters(table[:1, :4])]))
+    coarse, neg, tot = neg[:1], neg[1:], tot[1:]
+    heap, total_err, n_panels, start, stop = [], 0.0, 1, 0, 1
+    while True:
+        n4, t4 = neg.reshape(-1, 4), tot.reshape(-1, 4)
+        rows = table[start:stop]
+        rows[:, 4:8] = n4
+        # left to right from 0, as the built-in sum adds (so -0.0 gives 0.0)
+        rows[:, 8] = 0.0 + n4[:, 0] + n4[:, 1] + n4[:, 2] + n4[:, 3]
+        rows[:, 9] = 0.0 + t4[:, 0] + t4[:, 1] + t4[:, 2] + t4[:, 3]
+        rows[:, 10] = np.abs(rows[:, 8] - coarse)
+        for k, err in zip(range(start, stop), rows[:, 10].tolist()):
+            heapq.heappush(heap, (-err, k))
+            total_err += err
+        if not total_err > 0.4 * tol:
+            break
         batch = []
         while heap and len(batch) < _BATCH and total_err > 0.4 * tol:
             if n_panels > _MAX_PANELS:
                 raise ConvergenceError(
                     "adaptive quadrature exceeded panel budget")
-            batch.append(heapq.heappop(heap)[2])
-            total_err -= batch[-1][3]
+            neg_err, k = heapq.heappop(heap)
+            batch.append(k)
+            total_err += neg_err
             n_panels += 3
-        for children in _refine(func, batch):
-            for child in children:
-                counter += 1
-                heapq.heappush(heap, (-child[3], counter, child))
-                total_err += child[3]
-    _, neg, tot, err, _ = zip(*(entry[2] for entry in heap))
-    return math.fsum(neg), math.fsum(tot), math.fsum(err)
+        start, stop = stop, stop + 4 * len(batch)
+        if stop > len(table):
+            table = np.concatenate([table, np.empty_like(table)])
+        table[start:stop, :4] = _quarters(table[batch, :4])
+        coarse = table[batch, 4:8].ravel()
+        neg, tot = _eval_panels(func, _quarters(table[start:stop, :4]))
+    rows = table[[k for _, k in heap]]
+    return math.fsum(rows[:, 8]), math.fsum(rows[:, 9]), math.fsum(rows[:, 10])
 
 
-def _check_tail(func, box, tol):
+def _check_tail(boundary, box, tol):
+    """Raise BoxTooSmallError unless |W| stays below tol/volume on the
+    edge of the box; boundary holds the values of W sampled there."""
     qa, qb, pa, pb = box
-    volume = (qb - qa) * (pb - pa)
-    edge = np.linspace(0.0, 1.0, 33)
-    qs = qa + (qb - qa) * edge
-    ps = pa + (pb - pa) * edge
-    boundary = np.concatenate([
-        np.abs(np.real(func(qs, np.full_like(qs, pa)))),
-        np.abs(np.real(func(qs, np.full_like(qs, pb)))),
-        np.abs(np.real(func(np.full_like(ps, qa), ps))),
-        np.abs(np.real(func(np.full_like(ps, qb), ps))),
-    ])
-    limit = tol / volume
-    if boundary.max() > limit:
+    peak = np.abs(np.real(boundary)).max()
+    limit = tol / ((qb - qa) * (pb - pa))
+    if peak > limit:
         grow = 1.5
         required = (qa * grow, qb * grow, pa * grow, pb * grow)
         raise BoxTooSmallError(
-            f"boundary magnitude {boundary.max():.3e} exceeds {limit:.3e}; "
+            f"boundary magnitude {peak:.3e} exceeds {limit:.3e}; "
             f"a box of at least {required} is needed", required_box=required)
 
 
@@ -288,16 +275,23 @@ def eta_grid(W, box=None, tol: float = 1e-4, model: str = "custom",
 
     W may be a vectorized callable W(Q, P) with `box` required, or a
     GridField (its own box is used).  The box must contain the support:
-    the boundary values are checked against tol/volume and a too-small box
+    the boundary values (33 points on each edge of the box, or every edge
+    node of the field) are checked against tol/volume, and a too-small box
     raises BoxTooSmallError naming a sufficient one.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and > 0")
     if isinstance(W, GridField):
         return _eta_from_gridfield(W, tol, model=model, n=n, lam=lam)
     if box is None:
         raise ValueError("a box is required when W is a callable")
-    qa, qb, pa, pb = (float(v) for v in box)
-    _check_tail(W, (qa, qb, pa, pb), tol)
-    neg, tot, err = _adaptive_eta(W, (qa, qb, pa, pb), tol)
+    qa, qb, pa, pb = box = tuple(float(v) for v in box)
+    edge = np.linspace(0.0, 1.0, 33)
+    qs = qa + (qb - qa) * edge
+    ps = pa + (pb - pa) * edge
+    _check_tail(W(np.concatenate([qs, qs, np.repeat([qa, qb], 33)]),
+                  np.concatenate([np.repeat([pa, pb], 33), ps, ps])), box, tol)
+    neg, tot, err = _adaptive_eta(W, box, tol)
     if tot == 0.0:
         raise ConvergenceError("integral of W over the box vanished")
     eta = neg / tot
@@ -343,7 +337,7 @@ def _eta_from_gridfield(F: GridField, tol, model, n, lam) -> NegativityRecord:
     spec = F.spec
     W = F.values.real
     box = (spec.qmin, spec.qmax, spec.pmin, spec.pmax)
-    _check_tail(lambda Q, P: _bilinear_lookup(F, Q, P), box, tol)
+    _check_tail(np.concatenate([W[0], W[-1], W[:, 0], W[:, -1]]), box, tol)
     neg, tot = _cell_integrals(W, spec.dq, spec.dp)
     if tot == 0.0:
         raise ConvergenceError("integral of W over the grid vanished")
@@ -356,19 +350,6 @@ def _eta_from_gridfield(F: GridField, tol, model, n, lam) -> NegativityRecord:
                                 float(neg_ext / tot_ext), float(err))
     err = 4.0 * (spec.dq * spec.dp) + 0.1 * tol  # no extrapolation possible
     return NegativityRecord(model, n, lam, "grid", float(neg / tot), float(err))
-
-
-def _bilinear_lookup(F: GridField, Q, P):
-    spec = F.spec
-    qi = np.clip((np.asarray(Q) - spec.qmin) / spec.dq, 0, spec.nq - 1.000001)
-    pi = np.clip((np.asarray(P) - spec.pmin) / spec.dp, 0, spec.np - 1.000001)
-    i0 = qi.astype(int)
-    j0 = pi.astype(int)
-    tx = qi - i0
-    ty = pi - j0
-    V = F.values.real
-    return (V[i0, j0] * (1 - tx) * (1 - ty) + V[i0, j0 + 1] * (1 - tx) * ty
-            + V[i0 + 1, j0] * tx * (1 - ty) + V[i0 + 1, j0 + 1] * tx * ty)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +446,18 @@ def lambda_scan(n: int, lams, tol: float = 1e-3) -> LambdaScanReport:
     the grid value at each lambda is a genuine two-route check.
     """
     lams = tuple(float(v) for v in lams)
+    if not lams:
+        raise ValueError("the scan needs at least one lambda")
     if not all(abs(v) < 1.0 for v in lams):
         raise ValueError("all |lambda| must be < 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and > 0")
     radial = eta_radial(n)
     # the quadrature tolerance is clamped to a feasible floor; an
     # unreachable scan tolerance then yields an honest failure report
     grid_tol = min(max(tol / 3.0, 1e-6), 1e-3)
     grid = [eta_grid_damped(n, lam, grid_tol) for lam in lams]
-    devs = [abs(rec.eta - radial.eta) for rec in grid]
-    max_dev = max(devs) if devs else 0.0
+    max_dev = max(abs(rec.eta - radial.eta) for rec in grid)
     return LambdaScanReport(n=n, tol=tol, radial=radial, grid=tuple(grid),
                             max_deviation=float(max_dev),
                             ok=bool(max_dev <= tol), lams=lams)

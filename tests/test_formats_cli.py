@@ -809,6 +809,18 @@ def test_cli_usage_errors(tmp_path, capsys):
                  ["negativity", "--n-max", "-1"],
                  ["negativity", "--n", "-1", "--lambda-scan", "0,0.5"],
                  ["negativity", "--n", "1", "--lambda-scan", "0,nan"],
+                 ["negativity", "--n", "1", "--lambda-scan", ","],
+                 ["negativity", "--method", "grid", "--n-max", "1",
+                  "--tol", "nan"],
+                 ["negativity", "--method", "grid", "--n-max", "1",
+                  "--tol", "0"],
+                 ["negativity", "--method", "grid", "--n-max", "1",
+                  "--tol", "-1"],
+                 ["negativity", "--lambda-scan", "0,0.5", "--n", "1",
+                  "--tol", "nan"],
+                 ["negativity", "--lambda-scan", "0,0.5", "--n", "1",
+                  "--tol", "-1"],
+                 ["spectrum", "--model", "harmonic", "--n-max", "-1"],
                  ["wigner", "--model", "damped", "--lambda", "1.5"],
                  ["wigner", "--model", "harmonic", "--omega", "-1"],
                  ["wigner", "--model", "helium", "--mass", "0"],
@@ -826,6 +838,9 @@ def test_cli_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 2, argv
         assert "error: " in captured.err and "Traceback" not in captured.err
+        if "--tol" in argv:
+            # the message names tol, not a box too small for it
+            assert "tol must be finite and > 0" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -8,8 +8,9 @@ import pytest
 
 from moyal import negativity
 from moyal.errors import BoxTooSmallError, ConvergenceError
-from moyal.grid import GridSpec, wigner_from_wavefunction
-from moyal.models import DampedParams, damped_wigner_values, hermite_function
+from moyal.grid import GridField, GridSpec, wigner_from_wavefunction
+from moyal.models import (DampedParams, damped_wigner_values,
+                          harmonic_wigner_values, hermite_function)
 from moyal.negativity import (ETA_REFERENCE, damped_box, eta_grid,
                               eta_grid_damped, eta_radial, laguerre_roots,
                               lambda_scan, negativity_table)
@@ -204,7 +205,8 @@ _REPLAY_CASES = (
     + [(n, 0.6, 3e-4) for n in range(6)])
 
 
-@pytest.mark.parametrize("n, lam, tol", _REPLAY_CASES)
+@pytest.mark.parametrize("n, lam, tol", _REPLAY_CASES + [
+    (12, 0.9, 1e-4), (20, 0.9, 1e-3)])
 def test_adaptive_eta_is_bitwise_the_greedy_loop(n, lam, tol, monkeypatch):
     # n = 8 at lambda = +-0.6, tol 1e-3 is the early stop: a few turns only
     func, box, tol = _damped_quadrature(n, lam, tol)
@@ -236,15 +238,18 @@ def _recording(func, seen):
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20])
 def test_principal_frame_integrand_matches_damped_wigner_values(n, lam):
     # on the points the panels and the tail check hand it: the (B, 8, 1)
-    # and (B, 1, 8) node layout and the 1-D boundary lines
+    # and (B, 1, 8) node layout and the four 33-point edges in one call
     func, box, tol = _damped_quadrature(n, lam, 1e-3)
     seen = []
     root = np.array([box])
     negativity._eval_panels(_recording(func, seen), np.vstack(
         [root, negativity._quarters(negativity._quarters(root))]))
-    negativity._check_tail(_recording(func, seen), box, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(negativity, "_adaptive_eta", lambda f, b, t: (1.0, 1.0, 0.0))
+        eta_grid(_recording(func, seen), box, tol)
     shapes = {(S.ndim, T.ndim) for S, T in seen}
     assert shapes == {(3, 3), (1, 1)}
+    assert [S.shape for S, T in seen if S.ndim == 1] == [(132,)]
     dp = DampedParams(lam, n)
     r = 1.0 / np.sqrt(2.0)
     for S, T in seen:
@@ -386,6 +391,18 @@ def test_eta_grid_box_too_small():
         eta_grid(lambda Q, P: damped_wigner_values(dp, Q, P),
                  (-2.0, 2.0, -2.0, 2.0), 1e-6)
     assert info.value.required_box is not None
+
+
+def test_eta_grid_gridfield_edge_spike_is_box_too_small():
+    # every edge node is checked, also one such as (0, 3) that 33 evenly
+    # spaced points per edge would step over
+    spec = GridSpec(-8.0, 8.0, -8.0, 8.0, 201, 201)
+    vals = harmonic_wigner_values(1, *spec.meshgrid())
+    assert eta_grid(GridField(spec, vals), tol=1e-4).eta == pytest.approx(
+        eta_radial(1).eta, abs=1e-3)
+    vals[0, 3] = 0.05
+    with pytest.raises(BoxTooSmallError):
+        eta_grid(GridField(spec, vals), tol=1e-4)
 
 
 def test_eta_grid_from_gridfield_oracle():
