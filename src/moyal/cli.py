@@ -139,6 +139,9 @@ def cmd_wigner(args, parser) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
+    # helium prints one (nu, nv) pair when either is given, else the ladder;
+    # read before _validate_model_args fills both in from --n
+    one_pair = args.nu is not None or args.nv is not None
     _validate_model_args(args, parser)
     if args.n_max < 0:
         parser.error("--n-max must be nonnegative")
@@ -154,7 +157,7 @@ def cmd_spectrum(args, parser) -> int:
                  "hbar": args.hbar}
     else:
         params = HeliumParams(args.mass, args.omega, args.xi, args.hbar)
-        if args.nu != args.nv or args.nu != args.n:
+        if one_pair:
             pairs = [(args.nu, args.nv)]
         else:
             pairs = [(k, k) for k in range(args.n_max + 1)]
@@ -174,6 +177,9 @@ def cmd_negativity(args, parser) -> int:
     if args.model != "damped":
         parser.error("the negativity indicator is provided for the damped model")
     if args.lambda_scan is not None:
+        if args.check_table1:
+            parser.error("--check-table1 checks a table, which --lambda-scan "
+                         "does not write")
         try:
             lams = [float(t) for t in args.lambda_scan.split(",") if t.strip()]
         except ValueError:
@@ -219,8 +225,7 @@ def cmd_negativity(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     from .verify import report, run_checks
 
-    results = run_checks(grid_points=args.nq,
-                         inject_sign_error=args.inject_sign_error)
+    results = run_checks(grid_points=args.nq)
     ok = report(results)
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -265,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the cross-engine invariant suite")
     pv.add_argument("--nq", type=int, default=128,
                     help="grid resolution for the numerical checks")
-    pv.add_argument("--inject-sign-error", action="store_true",
-                    help=argparse.SUPPRESS)  # negative-control hook for tests
     return parser
 
 

@@ -18,13 +18,11 @@ raw monomials.
 The class is closed under differentiation, multiplication by polynomials,
 star products, full-plane integration and marginals, which is what makes
 every model in this package exactly computable.  Integrals, marginals and
-star products all take the mean of a polynomial under a Gaussian: they
-smooth with one heat-operator kernel (``moyal.symbols._smooth``), then
-integrals and marginals substitute the affine mean with
-``moyal.symbols._substitute`` and star products contract power tables
-(``moyal.star``).  All run in the frame.  Between two different frames, a
-pure polynomial operand (A = 0, l = 0) takes the other's frame exactly; any
-other pair first expands to the identity frame (``PolyGauss.lab``).
+star products (``moyal.star``) are each one instance of the Gaussian
+integral ``_gaussian_integral``, and all run in the frame.  Between two
+different frames, a pure polynomial operand (A = 0, l = 0) takes the
+other's frame exactly; any other pair first expands to the identity frame
+(``PolyGauss.lab``).
 
 A function is normalizable when Re(A) is positive definite; integration
 requires that.  All values are immutable after construction and every
@@ -347,61 +345,80 @@ class PolyGauss1D:
         return _values(self.C, x) * np.exp(-(self.a2 * x * x + self.a1 * x + self.a0))
 
     def integrate(self):
+        decay = NonNormalizableError("1D Gaussian part does not decay")
         if self.a2.real <= 0.0:
-            raise NonNormalizableError("1D Gaussian part does not decay")
-        base = np.sqrt(np.pi / self.a2) * np.exp(
-            self.a1 * self.a1 / (4.0 * self.a2) - self.a0)
-        # the mean of the polynomial under N(-a1 / (2 a2), 1 / (2 a2))
-        C = _smooth(self.C, [[0.5 / self.a2]])
-        mean = _substitute(C, np.zeros((1, 0)), [-self.a1 / (2.0 * self.a2)])
-        return base * complex(mean)
+            raise decay
+        r, K, E, e0, _, _, hKh = _gaussian_integral(
+            np.array([[2.0 * self.a2]]), np.zeros((1, 0)), np.array([self.a1]),
+            decay)
+        mean = _substitute(_smooth(self.C, K), E, e0)
+        return (np.sqrt(2.0 * np.pi) * r * np.exp(0.5 * hKh - self.a0)
+                * complex(mean))
 
     def __repr__(self):
         return f"PolyGauss1D(var={self.var!r}, degree={self.degree})"
 
 
-def _sqrt_det_principal(M: np.ndarray) -> complex:
-    """sqrt(det M) through principal square roots of the eigenvalues.
+def _gaussian_integral(M, G, h, error):
+    """The Gaussian integral under every closed-form operation.
 
-    Valid branch for complex symmetric M with Re(M) >= 0 (the Fresnel limit
-    included): eigenvalues stay in the closed right half-plane, so the
-    principal roots vary continuously from the real positive-definite case.
+    For a complex symmetric k x k matrix M and a source G x + h affine in
+    the m variables x that are kept (G is k x m),
+
+        int P(w) exp(-(w^T M w / 2 + (G x + h).w)) dw
+            = (2 pi)^(k/2) r exp((G x + h)^T K (G x + h) / 2) E[P],
+
+    with r = det(M)^(-1/2) and K = M^-1.  Under the normalized Gaussian, w
+    has covariance K and mean E x + e0, with E = -K G and e0 = -K h, so the
+    mean of a polynomial is E[P] = [exp(d^T K d / 2) P](E x + e0): the heat
+    operator ``moyal.symbols._smooth`` with K, then the mean substituted.
+
+    r takes principal square roots of the eigenvalues of M: the branch
+    that is continuous from the real positive-definite case, valid while
+    the eigenvalues stay in the closed right half-plane, which covers the
+    Fresnel limit Re M >= 0.  ``error`` is raised when one leaves it.  A
+    singular M is the caller's check.
+
+    Returns r, K, E, e0 and the completed square in its three blocks,
+    G^T K G, G^T K h and h^T K h.
     """
     lam = np.linalg.eigvals(M)
-    scale = max(abs(lam))
-    if scale == 0.0 or np.any(lam.real < -1e-12 * scale):
-        raise NonNormalizableError("Gaussian part does not decay")
-    return complex(np.prod(np.sqrt(lam)))
+    if np.any(lam.real < -1e-12 * np.max(np.abs(lam))):
+        raise error
+    K = np.linalg.inv(M)
+    K = 0.5 * (K + K.T)
+    GK = G.T @ K
+    return (complex(np.prod(1.0 / np.sqrt(lam))), K, -K @ G, -K @ h,
+            GK @ G, GK @ h, h @ K @ h)
 
 
 def integrate(f: PolyGauss) -> complex:
     """Exact full-plane integral of a normalizable polynomial-Gaussian.
 
-    The Gaussian base integral is pi/sqrt(det A) times the completed-square
-    exponential; the polynomial contributes its mean under the normalized
-    Gaussian.  The frame does not enter, because det S = 1.
+    The Gaussian integral with M = 2A, h = l and no variable kept.  The
+    frame does not enter, because det S = 1.
     """
+    decay = NonNormalizableError("Re(A) is not positive definite")
     if not f.shape.is_normalizable():
-        raise NonNormalizableError("Re(A) is not positive definite")
+        raise decay
     if not f.C.any():
         return 0.0 + 0.0j
-    A, l, k = f.shape.A, f.shape.l, f.shape.k
-    Ainv = np.linalg.inv(A)
-    base = np.pi / _sqrt_det_principal(A) * np.exp(0.25 * l @ Ainv @ l - k)
-    # the mean of the polynomial under N(-A^-1 l / 2, A^-1 / 2)
-    C = _smooth(f.C, 0.5 * Ainv)
-    mean = _substitute(C, np.zeros((2, 0)), -0.5 * Ainv @ l)
-    return complex(base * mean)
+    r, K, E, e0, _, _, hKh = _gaussian_integral(
+        2.0 * f.shape.A, np.zeros((2, 0)), f.shape.l, decay)
+    mean = _substitute(_smooth(f.C, K), E, e0)
+    return complex(2.0 * np.pi * r * np.exp(0.5 * hKh - f.shape.k) * mean)
 
 
 def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
     """Integrate out one variable exactly; axis names the variable removed.
 
     marginal(f, 'p') returns a function of q.  Requires the integrated
-    direction to decay (positive real part of the diagonal A entry).  Runs
-    in the frame, without expanding the polynomial: the removed variable t
-    moves w = S x along the column s of S, so the polynomial part is the
-    mean of P(w) over a Gaussian of covariance s s^T / (2 alpha).
+    direction to decay (positive real part of the diagonal A entry).  In
+    lab variables, with x kept and t removed, t enters the exponent as
+    -(A_tt t^2 + (2 A_xt x + l_t) t): a Gaussian integral with M = 2 A_tt,
+    G = 2 A_xt and h = l_t.  It runs in the frame, without expanding the
+    polynomial: t moves w = S (q, p) along the column s of S, so P(w) is
+    smoothed with s K s^T and takes the mean S_x x + s (E x + e0).
     """
     if axis == "p":
         keep, drop = 0, 1
@@ -411,22 +428,15 @@ def marginal(f: PolyGauss, axis: str) -> PolyGauss1D:
         raise ValueError("axis must be 'q' or 'p'")
     S = np.eye(2) if f.frame is None else f.frame
     A = S.T @ f.shape.A @ S
-    l, k = S.T @ f.shape.l, f.shape.k
-    alpha = A[drop, drop]
-    if alpha.real <= 0.0:
-        raise NonNormalizableError("integrated axis does not decay")
-    cross = 2.0 * A[keep, drop]      # coefficient of x_keep in beta(x)
-    beta0 = l[drop]
-    # int P(w) exp(-alpha t^2 - beta t) dt, beta = cross*x + beta0, is
-    # sqrt(pi/alpha) exp(beta^2 / (4 alpha)) times the mean of P(w) for
-    # t ~ N(-beta / (2 alpha), 1 / (2 alpha)), where w = S[:, keep] x + s t
-    s = S[:, drop]
-    K = np.outer(s, s) / (2.0 * alpha)
-    W = S[:, [keep]] - np.outer(s, cross / (2.0 * alpha))
-    w0 = -s * beta0 / (2.0 * alpha)
-    C = np.sqrt(np.pi / alpha) * _substitute(_smooth(f.C, K), W, w0)
-    # remaining exponent: -(A_kk x^2 + l_k x + k) + (cross*x + beta0)^2/(4 alpha)
-    a2 = A[keep, keep] - cross * cross / (4.0 * alpha)
-    a1 = l[keep] - 2.0 * cross * beta0 / (4.0 * alpha)
-    a0 = k - beta0 * beta0 / (4.0 * alpha)
-    return PolyGauss1D(C, a2, a1, a0, var="q" if axis == "p" else "p")
+    l = S.T @ f.shape.l
+    decay = NonNormalizableError("integrated axis does not decay")
+    if A[drop, drop].real <= 0.0:
+        raise decay
+    t = [drop]
+    r, K, E, e0, GKG, GKh, hKh = _gaussian_integral(
+        2.0 * A[t][:, t], 2.0 * A[t][:, [keep]], l[t], decay)
+    s = S[:, [drop]]
+    C = _substitute(_smooth(f.C, s @ K @ s.T), S[:, [keep]] + s @ E, s @ e0)
+    return PolyGauss1D(np.sqrt(2.0 * np.pi) * r * C,
+                       A[keep, keep] - 0.5 * GKG[0, 0], l[keep] - GKh[0],
+                       f.shape.k - 0.5 * hKh, var="q" if axis == "p" else "p")

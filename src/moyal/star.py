@@ -1,36 +1,27 @@
 """Exact Moyal star products within the polynomial-Gaussian class.
 
-The star product of two Gaussians is a 4D complex Gaussian integral.  With
-exponents Q1(y) = y^T A y + a.y + alpha and Q2(z) = z^T B z + b.z + beta,
+With exponents Q1(y) = y^T A y + a.y + alpha and Q2(z) = z^T B z + b.z + beta,
 shifting y = x + u, z = x + v turns
 
     (f*g)(x) = (pi hbar)^-2 int f(y) g(z) exp((2i/hbar) sigma(y-x, z-x)) dy dz
 
-into int exp(-w^T M w / 2 - c(x).w) dw over w = (u, v) with
+into 4/hbar^2 exp(-Q1(x) - Q2(x)) times the Gaussian integral of
+``moyal.polygauss._gaussian_integral`` over w = (u, v), with
 
     M = [[2A, -(2i/hbar) J], [(2i/hbar) J, 2B]],   J = [[0, 1], [-1, 0]],
-    c(x) = (2A x + a, 2B x + b),
+    G = [[2A], [2B]],   h = (a, b).
 
-so the result is (4/hbar^2) det(M)^(-1/2) exp(c^T M^-1 c / 2 - Q1 - Q2),
-again a Gaussian.  det^(-1/2) uses principal square roots of the
-eigenvalues of M, the continuous branch for Re(M) >= 0; this covers the
-Fresnel limit where one factor is a plain polynomial (A or B = 0).
+The twist keeps M invertible in the Fresnel limit, where one factor is a
+plain polynomial (A or B = 0).
 
-Polynomial prefactors ride on the same integral.  The product of the two
-polynomials, P(y, z) = F(y) G(z), is a polynomial in four variables, and
-the integrand is P(x + u, x + v) times that Gaussian in w = (u, v).  After
-normalization the polynomial part is therefore the mean of P over a
-Gaussian of covariance K = M^-1 centred at the affine point L(x) = W x + w0:
-
-    E[P] = [exp(d^T K d / 2) P](L(x)).
-
-The smoothing is the heat operator of ``moyal.symbols._smooth`` on the
-outer product of the two coefficient arrays, the kernel that integrals and
-marginals use.  The substitution splits by operand: rows 0-1 of W and w0
-are f's affine forms l0, l1 and rows 2-3 are g's l2, l3, and smoothing only
-lowers exponents, so the smoothed array S keeps f's part within total
-degree deg f and g's within deg g.  With Y the table of the powers
-l0^a l1^b (a + b <= deg f) as polynomials in x, and Z that of l2^c l3^d,
+The polynomial part is the product P(y, z) = F(y) G(z), a polynomial in
+four variables, so the integral smooths the outer product of the two
+coefficient arrays and takes it at L(x) = W x + w0, W = [[I], [I]] + E.
+The substitution splits by operand: rows 0-1 of W and w0 are f's affine
+forms l0, l1 and rows 2-3 are g's l2, l3, and smoothing only lowers
+exponents, so the smoothed array S keeps f's part within total degree
+deg f and g's within deg g.  With Y the table of the powers l0^a l1^b
+(a + b <= deg f) as polynomials in x, and Z that of l2^c l3^d,
 
     R(x) = sum S[ab, cd] (l0^a l1^b)(x) (l2^c l3^d)(x),
 
@@ -50,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StarSingularError
-from .polygauss import PolyGauss, QuadForm
+from .polygauss import PolyGauss, QuadForm, _gaussian_integral
 from .symbols import _smooth
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -58,30 +49,22 @@ _S = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
 
 def _star_system(shape1: QuadForm, shape2: QuadForm, hbar: float):
-    """Assemble M, its inverse, the result shape and the source data."""
+    """The star product's Gaussian integral: its prefactor, the result
+    shape, the mean L(x) = W x + w0 of P and the covariance K."""
     A, a, alpha = shape1.A, shape1.l, shape1.k
     B, b, beta = shape2.A, shape2.l, shape2.k
     twist = (2.0j / hbar) * _J
     M = np.block([[2.0 * A, -twist], [twist, 2.0 * B]])
+    # on the Fresnel boundary, where Re M is singular, M itself can be
+    # singular (two chirps) with eigenvalues that pass the half-plane test
+    singular = StarSingularError("nonintegrable star product")
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-13 * sv[0]:
-        raise StarSingularError("nonintegrable star product")
-    lam = np.linalg.eigvals(M)
-    if np.any(lam.real < -1e-12 * np.max(np.abs(lam))):
-        raise StarSingularError("nonintegrable star product")
-    inv_sqrt_det = complex(np.prod(1.0 / np.sqrt(lam)))
-    Minv = np.linalg.inv(M)
-    Minv = 0.5 * (Minv + Minv.T)
-    G = np.vstack([2.0 * A, 2.0 * B])            # 4x2
-    h0 = np.concatenate([a, b])                  # 4
-    prefactor = (4.0 / hbar ** 2) * inv_sqrt_det
-    At = A + B - 0.5 * G.T @ Minv @ G
-    lt = a + b - G.T @ Minv @ h0
-    kt = alpha + beta - 0.5 * h0 @ Minv @ h0
-    out_shape = QuadForm(At, lt, kt)
-    W = _S.T - Minv @ G                          # 4x2, L(x) = W x + w0
-    w0 = -Minv @ h0
-    return prefactor, out_shape, W, w0, Minv
+        raise singular
+    r, K, E, w0, GKG, GKh, hKh = _gaussian_integral(
+        M, np.vstack([2.0 * A, 2.0 * B]), np.concatenate([a, b]), singular)
+    shape = QuadForm(A + B - 0.5 * GKG, a + b - GKh, alpha + beta - 0.5 * hKh)
+    return (4.0 / hbar ** 2) * r, shape, _S.T + E, w0, K
 
 
 @lru_cache(maxsize=256)

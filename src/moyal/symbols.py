@@ -92,15 +92,12 @@ def _values(C: np.ndarray, *xs) -> np.ndarray:
     return out
 
 
-# ---- dense kernel: Gaussian expectations of polynomials --------------------
+# ---- dense kernel: the heat operator and affine substitution ---------------
 #
 # A coefficient array C has one axis per variable, C[alpha] multiplying
-# y^alpha.  sum_alpha C_alpha d_J^alpha exp(L.J + J^T K J / 2) at J = 0 is the
-# mean of P(y) under a Gaussian of mean L and covariance K, which equals
-# [exp(d^T K d / 2) P](L): smooth, then substitute the mean.  Star products
-# smooth here and substitute through power tables of their operands' affine
-# forms (``moyal.star``); ``_substitute`` is the route for integrals,
-# marginals and frames (``linear_map``).
+# y^alpha.  Smoothing then substituting is the mean of a polynomial under a
+# Gaussian (``moyal.polygauss._gaussian_integral``); ``_substitute`` also
+# moves a polynomial into another frame (``linear_map``).
 
 
 @lru_cache(maxsize=1024)

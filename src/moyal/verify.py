@@ -55,15 +55,11 @@ def _sample_points(rng, n=80, half=3.0):
     return rng.uniform(-half, half, (n, 2))
 
 
-def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
+def run_checks(grid_points: int = 128):
     """Run the invariant suite; returns a list of CheckResult."""
     rng = np.random.RandomState(20240811)
     pts = _sample_points(rng)
     results = []
-
-    def wigner_n(dp):
-        W = damped_wigner(dp)
-        return W.scale(-1.0) if inject_sign_error else W
 
     # Heisenberg relation, coefficient-wise
     opq = bopp_from_symbol(q_symbol(), "left", 1.0)
@@ -98,7 +94,8 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
 
     # purity W * W = W / (2 pi hbar), closed form
     states = [harmonic_wigner(n) for n in range(4)]
-    states += [wigner_n(DampedParams(lam, n)) for lam in (0.5, 0.9) for n in range(4)]
+    states += [damped_wigner(DampedParams(lam, n)) for lam in (0.5, 0.9)
+               for n in range(4)]
     hel = helium_ground(HeliumParams(xi=0.1))
     states += list(helium_wigner(hel))
     worst = 0.0
@@ -143,7 +140,7 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
         tol_grid = 1e-4 if grid_points > 128 else 5e-3
     worst = 0.0
     for n in range(3):
-        W = sample(wigner_n(DampedParams(0.5, n)), spec)
+        W = sample(damped_wigner(DampedParams(0.5, n)), spec)
         WW = star_numeric(W, W, method="fft")
         ref = W.values / (2.0 * np.pi)
         worst = max(worst, np.abs(WW.values - ref).max() / np.abs(ref).max())
@@ -154,7 +151,7 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
     worst = 0.0
     for n in range(3):
         oracle = wigner_from_wavefunction(lambda x, n=n: hermite_function(n, x), spec)
-        closed = sample(wigner_n(DampedParams(0.0, n)), spec)
+        closed = sample(damped_wigner(DampedParams(0.0, n)), spec)
         worst = max(worst, np.abs(oracle.values - closed.values).max())
     results.append(CheckResult("wigner-oracle", worst <= 1e-6, worst, 1e-6))
 
@@ -164,7 +161,7 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
         H = damped_hamiltonian(lam)
         for n in range(4):
             dp = DampedParams(lam, n)
-            worst = max(worst, eigen_residual(H, wigner_n(dp), damped_energy(dp)))
+            worst = max(worst, eigen_residual(H, damped_wigner(dp), damped_energy(dp)))
     results.append(CheckResult("damped-spectrum-residual", worst <= 1e-9, worst, 1e-9))
 
     params = HeliumParams(xi=0.1)
@@ -179,7 +176,7 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
     worst = 0.0
     for lam in (0.0, 0.5, 0.9):
         for n in range(5):
-            val = wigner_n(DampedParams(lam, n)).evaluate(0.0, 0.0).real * np.pi
+            val = damped_wigner(DampedParams(lam, n)).evaluate(0.0, 0.0).real * np.pi
             worst = max(worst, abs(val - (-1.0) ** n))
     results.append(CheckResult("parity-at-origin", worst <= 1e-12, worst, 1e-12))
 
@@ -189,7 +186,7 @@ def run_checks(grid_points: int = 128, inject_sign_error: bool = False):
         lambda Q, P: 0.5 * (Q * Q + P * P) - 0.5 * Q * P, bspec, flat_radius=9.0)
     worst_int, worst_sup = 0.0, 0.0
     for n in range(3):
-        Wf = sample(wigner_n(DampedParams(0.5, n)), bspec)
+        Wf = sample(damped_wigner(DampedParams(0.5, n)), bspec)
         br = moyal_bracket_numeric(Hfield, Wf, method="fft")
         hw = star_numeric(Hfield, Wf, method="fft")
         scale = np.abs(hw.values).max()

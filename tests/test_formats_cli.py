@@ -724,6 +724,13 @@ def test_cli_spectrum_helium(capsys):
     row = doc["records"][0]
     assert row["E_exact"] == pytest.approx(0.974341649, abs=1e-9)
     assert row["E_first_order"] == pytest.approx(0.975, abs=1e-15)
+    # --nu and --nv ask for one pair, whatever --n says
+    for extra in ([], ["--n", "2"]):
+        rc = main(["spectrum", "--model", "helium", "--xi", "0.1",
+                   "--n-max", "1", "--nu", "2", "--nv", "2"] + extra)
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["nu"], r["nv"]) for r in rows] == [(2, 2)]
 
 
 def test_cli_negativity_check_passes(capsys):
@@ -820,6 +827,8 @@ def test_cli_usage_errors(tmp_path, capsys):
                   "--tol", "nan"],
                  ["negativity", "--lambda-scan", "0,0.5", "--n", "1",
                   "--tol", "-1"],
+                 ["negativity", "--lambda-scan", "0,0.5", "--n", "1",
+                  "--check-table1", "--table-tol", "1e-15"],
                  ["spectrum", "--model", "harmonic", "--n-max", "-1"],
                  ["wigner", "--model", "damped", "--lambda", "1.5"],
                  ["wigner", "--model", "harmonic", "--omega", "-1"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from moyal import (NonNormalizableError, ParameterMismatchError, PolyGauss,
                    QuadForm, integrate, marginal)
@@ -113,6 +114,39 @@ def test_marginal_damped_w1_matches_position_density():
     m = marginal(W1, "p")
     xs = np.linspace(-4, 4, 41)
     assert np.abs(m.evaluate(xs).real - hermite_function(1, xs) ** 2).max() < 1e-10
+
+
+@pytest.mark.parametrize("lam", [None, 0.6])
+def test_marginal_with_linear_terms_against_quadrature(lam):
+    # complex off-diagonal A, l != 0 and k != 0, which shift and scale the
+    # marginal's Gaussian; in the identity frame and in a damped frame
+    shape = QuadForm.from_coeffs(1.1, 0.3 - 0.2j, 0.8, 0.4 - 0.3j,
+                                 -0.5 + 0.2j, 0.3 + 0.1j)
+    terms = {(0, 0): 0.3, (1, 0): 0.4 - 0.1j, (1, 1): -0.2, (2, 0): 0.1j,
+             (0, 3): 0.05}
+    frame = None if lam is None else damped_wigner(DampedParams(lam, 0)).frame
+    f = PolyGauss(terms, shape, 1.0, frame)
+    for axis in ("q", "p"):
+        m = marginal(f, axis)
+        for x in (-1.3, 0.0, 0.7, 2.1):
+            def g(t):
+                return f.evaluate(x, t) if axis == "p" else f.evaluate(t, x)
+            want = complex(
+                quad(lambda t: g(t).real, -np.inf, np.inf, epsabs=1e-14)[0],
+                quad(lambda t: g(t).imag, -np.inf, np.inf, epsabs=1e-14)[0])
+            assert abs(m.evaluate(x) - want) <= 1e-10 * max(abs(want), 1.0)
+        assert m.integrate() == pytest.approx(integrate(f), rel=1e-12)
+
+
+def test_wide_gaussian_integrates_without_a_singularity_check():
+    # Re A = diag(1, 1e-14) is nearly singular, but the Gaussian decays and
+    # its integral is exact: pi 1e7 (1 + 0.5e14)
+    f = PolyGauss({(0, 0): 1.0, (0, 2): 1.0},
+                  QuadForm(np.diag([1.0, 1e-14])), 1.0)
+    want = np.pi * 1e7 * (1.0 + 0.5e14)
+    for got in (integrate(f), marginal(f, "p").integrate(),
+                marginal(f, "q").integrate()):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_pointwise_mul_shapes_add():

@@ -64,6 +64,11 @@ def test_gaussian_star_singular_system():
     chirp = PolyGauss.gaussian(QuadForm(1j * np.eye(2)), 1.0)
     with pytest.raises(StarSingularError):
         polygauss_star(chirp, chirp)
+    # a growing pair: M is regular, but its eigenvalues leave the closed
+    # right half-plane
+    grow = PolyGauss.gaussian(QuadForm(-np.eye(2)), 1.0)
+    with pytest.raises(StarSingularError):
+        polygauss_star(grow, grow)
 
 
 def test_polygauss_star_ground_state_projector():

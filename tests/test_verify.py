@@ -1,7 +1,15 @@
 import io
 
+import moyal.verify
 from moyal.cli import main
+from moyal.models import damped_wigner
 from moyal.verify import GRID_PURITY_TOL, report, run_checks
+
+
+def _sign_flipped(monkeypatch):
+    # a negative control: every damped state with the wrong sign
+    monkeypatch.setattr(moyal.verify, "damped_wigner",
+                        lambda dp: damped_wigner(dp).scale(-1.0))
 
 
 def test_all_checks_pass_at_default_resolution():
@@ -18,8 +26,9 @@ def test_report_prints_one_line_per_check():
     assert ok and len(lines) == len(results)
 
 
-def test_injected_sign_error_trips_parity():
-    results = run_checks(grid_points=96, inject_sign_error=True)
+def test_injected_sign_error_trips_parity(monkeypatch):
+    _sign_flipped(monkeypatch)
+    results = run_checks(grid_points=96)
     by_name = {r.name: r for r in results}
     assert not by_name["parity-at-origin"].passed
 
@@ -31,9 +40,10 @@ def test_coarse_grid_uses_relaxed_documented_bound():
     assert by_name["purity-grid"].passed
 
 
-def test_cli_verify_exit_codes(capsys):
+def test_cli_verify_exit_codes(capsys, monkeypatch):
     assert main(["verify", "--nq", "64"]) == 0
     capsys.readouterr()
-    assert main(["verify", "--nq", "64", "--inject-sign-error"]) == 5
+    _sign_flipped(monkeypatch)
+    assert main(["verify", "--nq", "64"]) == 5
     out = capsys.readouterr().out
     assert "FAIL" in out
