@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,7 +55,6 @@ def _add_grid_flags(p: argparse.ArgumentParser):
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", choices=("harmonic", "damped", "helium"),
                    required=True)
-    p.add_argument("--n", type=int, default=0, help="quantum number")
     p.add_argument("--nu", type=int, default=None, help="center-of-mass sector")
     p.add_argument("--nv", type=int, default=None, help="relative sector")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
@@ -66,21 +66,22 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--hbar", type=float, default=1.0)
 
 
-def _validate_model_args(args, parser):
+def _validate_model_args(args, parser, n=0):
+    """Check the model flags; helium fills a missing --nu or --nv with n."""
     if args.model != "damped" and args.lam != 0.0:
         parser.error("--lambda applies to the damped model only")
     if args.model != "helium" and args.xi != 0.0:
         parser.error("--xi applies to the helium model only")
-    if args.model == "damped" and args.hbar != 1.0:
-        parser.error("the damped model is formulated at hbar=1")
+    if args.model == "damped" and not args.mass == args.omega == args.hbar == 1.0:
+        parser.error("the damped model is formulated at mass=omega=hbar=1")
     if args.model == "helium":
         if args.nu is None:
-            args.nu = args.n
+            args.nu = n
         if args.nv is None:
-            args.nv = args.n
+            args.nv = n
     elif args.nu is not None or args.nv is not None:
         parser.error("--nu/--nv apply to the helium model only")
-    if args.n < 0 or (args.nu or 0) < 0 or (args.nv or 0) < 0:
+    if n < 0 or (args.nu or 0) < 0 or (args.nv or 0) < 0:
         parser.error("quantum numbers must be nonnegative")
     if not (args.mass > 0.0 and args.omega > 0.0 and args.hbar > 0.0):
         parser.error("--mass, --omega and --hbar must be positive")
@@ -95,7 +96,7 @@ def _write_text(path, text) -> None:
 
 
 def cmd_wigner(args, parser) -> int:
-    _validate_model_args(args, parser)
+    _validate_model_args(args, parser, args.n)
     if not args.out:
         parser.error("--out is required for wigner export")
     if args.out == "-" and args.model == "helium":
@@ -140,7 +141,7 @@ def cmd_wigner(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     # helium prints one (nu, nv) pair when either is given, else the ladder;
-    # read before _validate_model_args fills both in from --n
+    # read before _validate_model_args fills a missing one with 0
     one_pair = args.nu is not None or args.nv is not None
     _validate_model_args(args, parser)
     if args.n_max < 0:
@@ -176,10 +177,18 @@ def cmd_spectrum(args, parser) -> int:
 def cmd_negativity(args, parser) -> int:
     if args.model != "damped":
         parser.error("the negativity indicator is provided for the damped model")
+    if not (math.isfinite(args.table_tol) and args.table_tol > 0.0):
+        parser.error("--table-tol must be finite and > 0")
     if args.lambda_scan is not None:
-        if args.check_table1:
-            parser.error("--check-table1 checks a table, which --lambda-scan "
-                         "does not write")
+        # the table flags, at a value other than their default
+        defaults = parser.parse_args(["negativity"])
+        unread = [flag for flag, dest in (
+            ("--check-table1", "check_table1"), ("--lambda", "lam"),
+            ("--n-max", "n_max"), ("--method", "method"))
+            if getattr(args, dest) != getattr(defaults, dest)]
+        if unread:
+            parser.error(f"--lambda-scan writes no table, so it takes no "
+                         f"{', '.join(unread)}")
         try:
             lams = [float(t) for t in args.lambda_scan.split(",") if t.strip()]
         except ValueError:
@@ -240,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("wigner", help="export a Wigner function grid as CSV")
     _add_model_flags(pw)
+    pw.add_argument("--n", type=int, default=0, help="quantum number")
     _add_grid_flags(pw)
     pw.add_argument("--out", required=False,
                     help="CSV path; '-' writes to standard output (not for "

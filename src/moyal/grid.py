@@ -8,11 +8,12 @@ product is evaluated as a discrete twisted convolution in Fourier space,
 
 with sigma(xi, kappa) = xi_q kappa_p - xi_p kappa_q, followed by an inverse
 transform.  The direct baseline is the quadratic-cost sum over Fourier mode
-pairs, grouped by row offset into GEMMs; an FFT-accelerated path computes
-the same sum via circular convolutions and is gated on agreement with the
-baseline.  The FFT path skips the Fourier rows of either operand whose
-modulus stays at or below FFT_ROW_FLOOR times its transform's peak, i.e. on
-the forward transform's rounding floor; star_numeric states the error bound.
+pairs, grouped by row offset into GEMMs; an FFT-accelerated path, the
+default, computes the same sum via circular convolutions and is gated on
+agreement with the baseline.  The FFT path skips the Fourier rows of either
+operand whose modulus stays at or below FFT_ROW_FLOOR times its transform's
+peak, i.e. on the forward transform's rounding floor; star_numeric states
+the error bound.
 The Moyal bracket of two real fields takes one twisted sum, since then
 B*A = conj(A*B) up to the grid's aliasing error; complex fields take two.
 
@@ -226,12 +227,13 @@ def _inverse(S: np.ndarray, spec: GridSpec, xiq, xip) -> np.ndarray:
     return np.fft.ifft2(S * off) / (n_total * spec.dq ** 2 * spec.dp ** 2)
 
 
-def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridField:
+def star_numeric(A: GridField, B: GridField, method: str = "fft") -> GridField:
     """Discrete twisted-convolution star product of two fields.
 
     method='direct' is the quadratic-cost sum over Fourier-mode pairs,
     grouped by row offset a' = c - a into one matrix product per offset
-    (deterministic summation order).  method='fft' evaluates the same sum
+    (deterministic summation order), the reference the FFT path is checked
+    against.  method='fft', the default, evaluates the same sum
     through circular convolutions along d, one batch of rows a per output
     row c, and skips every pair (a, c - a) in which row a of Fh or row
     c - a of Gh stays at or below FFT_ROW_FLOOR times that transform's peak
@@ -252,7 +254,7 @@ def star_numeric(A: GridField, B: GridField, method: str = "direct") -> GridFiel
     return GridField(spec, _inverse(S, spec, xiq, xip), A.hbar, tuple(warnings))
 
 
-def moyal_bracket_numeric(A: GridField, B: GridField, method: str = "direct") -> GridField:
+def moyal_bracket_numeric(A: GridField, B: GridField, method: str = "fft") -> GridField:
     """A*B - B*A on the grid, with the warnings of A*B followed by B*A's.
 
     At real hbar the star product obeys conj(f*g) = conj(g)*conj(f), so

@@ -1,30 +1,27 @@
 """Quasi-amplitudes, Wigner functions and spectra for the physical models.
 
-Three systems are covered:
+Three systems are covered, each built from oscillator states (see
+``_laguerre_gaussian``):
 
-* the harmonic oscillator (also the per-sector building block below),
+* the harmonic oscillator,
 * a two-electron atom with Hooke-type attraction and a harmonic
   electron-electron coupling of strength xi, which separates in
   center-of-mass / relative coordinates (u, v) into two oscillators with
   frequencies omega_u = omega and omega_v = omega * sqrt(1 - xi),
 * a damped oscillator H = (p^2 + q^2)/2 - lam * q p with |lam| < 1 and
-  hbar = 1, whose stationary states reduce to Laguerre polynomials of
-  y = 2 sqrt(2/a) z, z = (p^2 + q^2)/2 - lam q p, a = (1 - lam^2)/2,
-  with spectrum E_n = sqrt(1 - lam^2) (n + 1/2).
-
-Ground-state Gaussian widths are not free parameters: they are the unique
-solution of the annihilation condition a*phi_0 = 0, namely
-exp(-(m w / hbar) q^2 - p^2 / (m w hbar)), and tests verify that directly.
+  hbar = 1, whose stationary states are Laguerre states of
+  y = 4 z / sqrt(1 - lam^2), z = (p^2 + q^2)/2 - lam q p, with spectrum
+  E_n = sqrt(1 - lam^2) (n + 1/2).
 
 Normalization conventions: quasi-amplitudes psi satisfy
-int psi * psi^dagger = 1 (equivalently int |psi|^2 = 1 by the trace
-property); Wigner functions satisfy int W = 1 with sign fixed by parity,
-W_n(0, 0) = (-1)^n / (pi hbar).
+int psi * psi^dagger = 1; Wigner functions satisfy int W = 1 with sign
+fixed by parity, W_n(0, 0) = (-1)^n / (pi hbar).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from .star import polygauss_star
 from .symbols import PolynomialSymbol
 
 # ---------------------------------------------------------------------------
-# special functions (three-term recurrences; no external dependency)
+# special functions (three-term recurrences) and the oscillator-state builder
 # ---------------------------------------------------------------------------
 
 
@@ -89,21 +86,34 @@ def hermite_function(n: int, x, m: float = 1.0, omega: float = 1.0,
     return h1
 
 
-def _laguerre_monomial_coeffs(n: int) -> list:
-    """Coefficients of L_n in powers of y (float; fine for moderate n)."""
-    coeffs = [1.0]
-    for k in range(n):
-        coeffs.append(coeffs[-1] * (-(n - k)) / ((k + 1) ** 2))
-    return coeffs
+def _laguerre_gaussian(n: int, front, cq: float, cp: float, hbar: float,
+                       frame=None) -> PolyGauss:
+    """front L_n(y) exp(-y/2) with y = cq u^2 + cp v^2, in the frame
+    (u, v) = S (q, p) (None for the identity).
+
+    Every stationary oscillator state here has this form: the harmonic
+    Wigner function and ground quasi-amplitude, and the damped ones, which
+    are the harmonic state at cq = cp = 2 seen through a squeeze frame.
+    L_n is expanded in powers of y by Horner's rule.
+    """
+    shape = QuadForm.from_coeffs(0.5 * cq, 0.0, 0.5 * cp)
+    if n == 0:
+        # L_0 = 1: the ladder starts here, so skip the Horner set-up
+        return PolyGauss({(0, 0): front}, shape, hbar, frame)
+    # L_n(y) = sum_k c_k y^k with c_0 = 1, c_{k+1} = -c_k (n - k) / (k + 1)^2
+    coeffs = list(accumulate(
+        range(n), lambda c, k: c * (-(n - k)) / ((k + 1) ** 2), initial=1.0))
+    y = PolynomialSymbol({(2, 0): cq, (0, 2): cp})
+    poly = PolynomialSymbol.constant(coeffs[n])
+    for c in reversed(coeffs[:n]):
+        poly = poly * y + c
+    return PolyGauss(poly.C * front, shape, hbar, frame)
 
 
-def _laguerre_of_form(n: int, ysym: PolynomialSymbol) -> PolynomialSymbol:
-    """L_n(ysym) expanded in monomials, Horner style."""
-    coeffs = _laguerre_monomial_coeffs(n)
-    acc = PolynomialSymbol.constant(coeffs[n])
-    for k in range(n - 1, -1, -1):
-        acc = acc * ysym + PolynomialSymbol.constant(coeffs[k])
-    return acc
+def _laguerre_gaussian_values(n: int, y, hbar: float):
+    """((-1)^n / (pi hbar)) exp(-y/2) L_n(y) at sampled y, by the Laguerre
+    recurrence: free of monomial cancellation at any n and squeeze."""
+    return ((-1.0) ** n / (np.pi * hbar)) * np.exp(-0.5 * y) * laguerre(n, y)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +138,11 @@ def creation_symbol(m: float = 1.0, omega: float = 1.0,
     return annihilation_symbol(m, omega, hbar).conjugate()
 
 
+def _harmonic_widths(m, omega, hbar):
+    """(c_q, c_p) of the harmonic y = c_q q^2 + c_p p^2."""
+    return 2.0 * m * omega / hbar, 2.0 / (m * omega * hbar)
+
+
 def oscillator_ground(m: float = 1.0, omega: float = 1.0,
                       hbar: float = 1.0) -> PolyGauss:
     """Ground quasi-amplitude, the solution of a * phi_0 = 0.
@@ -136,10 +151,8 @@ def oscillator_ground(m: float = 1.0, omega: float = 1.0,
     forces exp(-(m w/hbar) q^2 - p^2/(m w hbar)); the prefactor makes
     int |phi_0|^2 = 1.
     """
-    alpha = m * omega / hbar
-    beta = 1.0 / (m * omega * hbar)
-    norm = np.sqrt(2.0 / (np.pi * hbar))
-    return PolyGauss({(0, 0): norm}, QuadForm.from_coeffs(alpha, 0.0, beta), hbar)
+    return _laguerre_gaussian(0, np.sqrt(2.0 / (np.pi * hbar)),
+                              *_harmonic_widths(m, omega, hbar), hbar)
 
 
 def oscillator_state(n: int, m: float = 1.0, omega: float = 1.0,
@@ -167,21 +180,17 @@ def harmonic_wigner(n: int, m: float = 1.0, omega: float = 1.0,
     W_n = ((-1)^n / (pi hbar)) exp(-y/2) L_n(y) with
     y = (2 m w / hbar) q^2 + (2 / (m w hbar)) p^2; int W_n = 1.
     """
-    cq = 2.0 * m * omega / hbar
-    cp = 2.0 / (m * omega * hbar)
-    ysym = PolynomialSymbol({(2, 0): cq, (0, 2): cp})
-    poly = _laguerre_of_form(n, ysym) * ((-1.0) ** n / (np.pi * hbar))
-    shape = QuadForm.from_coeffs(0.5 * cq, 0.0, 0.5 * cp)
-    return PolyGauss.from_symbol(poly, shape, hbar)
+    return _laguerre_gaussian(n, (-1.0) ** n / (np.pi * hbar),
+                              *_harmonic_widths(m, omega, hbar), hbar)
 
 
 def harmonic_wigner_values(n: int, q, p, m: float = 1.0, omega: float = 1.0,
                            hbar: float = 1.0):
     """harmonic_wigner sampled via the Laguerre recurrence (stable at any n)."""
+    cq, cp = _harmonic_widths(m, omega, hbar)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    y = (2.0 * m * omega / hbar) * q * q + (2.0 / (m * omega * hbar)) * p * p
-    return ((-1.0) ** n / (np.pi * hbar)) * np.exp(-0.5 * y) * laguerre(n, y)
+    return _laguerre_gaussian_values(n, cq * q * q + cp * p * p, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +307,6 @@ class DampedParams:
         if self.hbar != 1.0:
             raise ValueError("the damped model is formulated at hbar = 1")
 
-    @property
-    def a(self) -> float:
-        return 0.5 * (1.0 - self.lam ** 2)
-
 
 def z_coordinate(q, p, lam: float):
     """z = (p^2 + q^2)/2 - lam q p; positive definite for |lam| < 1."""
@@ -324,25 +329,19 @@ def damped_energy(dp: DampedParams) -> float:
     return np.sqrt(1.0 - dp.lam ** 2) * (dp.n + 0.5)
 
 
-def _damped_polygauss(dp: DampedParams, front: float) -> PolyGauss:
-    """front * exp(-y/2) L_n(y) as a PolyGauss, in the squeeze frame.
+def _squeeze_frame(lam: float):
+    """The frame (u, v) = S (q, p) in which the damped y is 2 (u^2 + v^2).
 
-    In the frame (u, v) = S (q, p) with S = (1/2) [[a + 1/a, a - 1/a],
-    [a - 1/a, a + 1/a]], a = ((1 - lam) / (1 + lam))^(1/4), y equals
-    2 (u^2 + v^2), so the state is the harmonic one, front L_n(2 (u^2 + v^2))
-    exp(-(u^2 + v^2)), seen through a symmetric squeeze along the 45-degree
-    axes (det S = 1).  Squeezing thus costs no digits.  At lam = 0 the
-    frame is the identity and is left out.
+    S = (1/2) [[a + 1/a, a - 1/a], [a - 1/a, a + 1/a]] with
+    a = ((1 - lam) / (1 + lam))^(1/4) is a symmetric squeeze along the
+    45-degree axes (det S = 1), so squeezing costs no digits.  At lam = 0
+    it is the identity and is left out (None).
     """
-    ysym = PolynomialSymbol({(2, 0): 2.0, (0, 2): 2.0})
-    poly = _laguerre_of_form(dp.n, ysym) * front
-    shape = QuadForm.from_coeffs(1.0, 0.0, 1.0)
-    frame = None
-    if dp.lam != 0.0:
-        a = ((1.0 - dp.lam) / (1.0 + dp.lam)) ** 0.25
-        frame = 0.5 * np.array([[a + 1.0 / a, a - 1.0 / a],
-                                [a - 1.0 / a, a + 1.0 / a]])
-    return PolyGauss(poly.C, shape, dp.hbar, frame)
+    if lam == 0.0:
+        return None
+    a = ((1.0 - lam) / (1.0 + lam)) ** 0.25
+    return 0.5 * np.array([[a + 1.0 / a, a - 1.0 / a],
+                           [a - 1.0 / a, a + 1.0 / a]])
 
 
 def damped_quasiamplitude(dp: DampedParams) -> PolyGauss:
@@ -351,20 +350,19 @@ def damped_quasiamplitude(dp: DampedParams) -> PolyGauss:
     N = sqrt(2/pi) makes int psi * psi^dagger = 1 for every lam: the
     diagonalizing change of variables has a lam-independent Jacobian.
     """
-    return _damped_polygauss(dp, np.sqrt(2.0 / np.pi))
+    return _laguerre_gaussian(dp.n, np.sqrt(2.0 / np.pi), 2.0, 2.0, dp.hbar,
+                              _squeeze_frame(dp.lam))
 
 
 def damped_wigner(dp: DampedParams) -> PolyGauss:
     """W_n = ((-1)^n / pi) exp(-y/2) L_n(y); int W_n = 1 exactly and
     W_n(0,0) = (-1)^n / pi."""
-    return _damped_polygauss(dp, (-1.0) ** dp.n / np.pi)
+    return _laguerre_gaussian(dp.n, (-1.0) ** dp.n / np.pi, 2.0, 2.0, dp.hbar,
+                              _squeeze_frame(dp.lam))
 
 
 def damped_wigner_values(dp: DampedParams, q, p):
-    """W_n sampled by the stable route: Laguerre recurrence on y(q, p).
-
-    Equivalent to damped_wigner(dp).evaluate(q, p) but free of monomial
-    cancellation at any squeezing; preferred for dense grid sampling.
-    """
+    """damped_wigner sampled via the Laguerre recurrence on
+    y = 4 z / sqrt(1 - lam^2) (stable at any n and squeeze)."""
     y = 2.0 * (2.0 / np.sqrt(1.0 - dp.lam ** 2)) * z_coordinate(q, p, dp.lam)
-    return ((-1.0) ** dp.n / np.pi) * np.exp(-0.5 * y) * laguerre(dp.n, y)
+    return _laguerre_gaussian_values(dp.n, y, dp.hbar)

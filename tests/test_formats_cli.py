@@ -724,13 +724,12 @@ def test_cli_spectrum_helium(capsys):
     row = doc["records"][0]
     assert row["E_exact"] == pytest.approx(0.974341649, abs=1e-9)
     assert row["E_first_order"] == pytest.approx(0.975, abs=1e-15)
-    # --nu and --nv ask for one pair, whatever --n says
-    for extra in ([], ["--n", "2"]):
-        rc = main(["spectrum", "--model", "helium", "--xi", "0.1",
-                   "--n-max", "1", "--nu", "2", "--nv", "2"] + extra)
-        assert rc == 0
-        rows = json.loads(capsys.readouterr().out)["records"]
-        assert [(r["nu"], r["nv"]) for r in rows] == [(2, 2)]
+    # --nu and --nv ask for one pair
+    rc = main(["spectrum", "--model", "helium", "--xi", "0.1",
+               "--n-max", "1", "--nu", "2", "--nv", "2"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["nu"], r["nv"]) for r in rows] == [(2, 2)]
 
 
 def test_cli_negativity_check_passes(capsys):
@@ -829,7 +828,29 @@ def test_cli_usage_errors(tmp_path, capsys):
                   "--tol", "-1"],
                  ["negativity", "--lambda-scan", "0,0.5", "--n", "1",
                   "--check-table1", "--table-tol", "1e-15"],
+                 # --lambda-scan writes no table: the table flags at a
+                 # value other than their default are errors
+                 ["negativity", "--lambda", "0.5", "--n-max", "2",
+                  "--method", "grid", "--lambda-scan", "0.1", "--n", "1"],
+                 ["negativity", "--lambda", "0.5", "--lambda-scan", "0.1"],
+                 ["negativity", "--n-max", "2", "--lambda-scan", "0.1"],
+                 ["negativity", "--method", "grid", "--lambda-scan", "0.1"],
+                 # a table tolerance the check could never fail, or always
+                 ["negativity", "--n-max", "9", "--check-table1",
+                  "--table-tol", "nan"],
+                 ["negativity", "--n-max", "9", "--check-table1",
+                  "--table-tol", "0"],
+                 ["negativity", "--n-max", "9", "--check-table1",
+                  "--table-tol", "-1"],
                  ["spectrum", "--model", "harmonic", "--n-max", "-1"],
+                 # spectrum takes no --n: it prints 0..--n-max, or --nu/--nv
+                 ["spectrum", "--model", "damped", "--n", "5"],
+                 # the damped model is formulated at m = omega = hbar = 1
+                 ["spectrum", "--model", "damped", "--omega", "3", "--mass",
+                  "2", "--n-max", "1"],
+                 ["spectrum", "--model", "damped", "--mass", "2"],
+                 ["wigner", "--model", "damped", "--omega", "3"],
+                 ["wigner", "--model", "damped", "--mass", "0.5"],
                  ["wigner", "--model", "damped", "--lambda", "1.5"],
                  ["wigner", "--model", "harmonic", "--omega", "-1"],
                  ["wigner", "--model", "helium", "--mass", "0"],

@@ -106,6 +106,26 @@ def test_harmonic_wigner_matches_projector():
     assert np.abs(vals - harmonic_wigner(3).evaluate(Q, P).real).max() < 1e-12
 
 
+@pytest.mark.parametrize("m, omega, hbar", [(2.0, 0.7, 0.5), (0.5, 1.3, 2.0)])
+def test_harmonic_wigner_away_from_unit_mass_and_hbar(m, omega, hbar):
+    # hbar sits in the prefactor 1/(pi hbar) and in both widths of y; the
+    # points span three ground-state widths along q and along p
+    u = np.linspace(-3.0, 3.0, 17)
+    Q, P = np.meshgrid(np.sqrt(hbar / (m * omega)) * u,
+                       np.sqrt(hbar * m * omega) * u, indexing="ij")
+    for n in range(5):
+        psi = oscillator_state(n, m, omega, hbar)
+        W = harmonic_wigner(n, m, omega, hbar)
+        ref = W.evaluate(Q, P)
+        star = polygauss_star(psi, psi.conjugate()).evaluate(Q, P)
+        assert np.pi * hbar * np.abs(star - ref).max() <= 1e-13, n
+        vals = harmonic_wigner_values(n, Q, P, m, omega, hbar)
+        assert np.pi * hbar * np.abs(vals - ref).max() <= 1e-13, n
+        assert abs(integrate(W) - 1.0) <= 1e-13, n
+        assert np.pi * hbar * W.evaluate(0.0, 0.0).real == pytest.approx(
+            (-1.0) ** n, abs=1e-14)
+
+
 def test_harmonic_wigner_n20_evaluate_matches_recurrence():
     value = harmonic_wigner(20).evaluate(3.0, 0.0)
     ref = harmonic_wigner_values(20, 3.0, 0.0)
